@@ -93,7 +93,10 @@ class Context:
         return Poly(self, {((var.vid, exp),): QONE})
 
     def ratfn(self, const: int | Fraction = 0) -> "RatFn":
-        return RatFn(self.poly(const), self.poly(1), _normalized=True)
+        """A constant in canonical form: integer numerator over the positive
+        denominator, exactly as ``normal_form`` would store it."""
+        c = Q(const)
+        return RatFn(self.poly(c.numerator), self.poly(c.denominator), _normalized=True)
 
 
 def _merge_exp(a: ExpKey, b: ExpKey) -> ExpKey:
@@ -102,10 +105,31 @@ def _merge_exp(a: ExpKey, b: ExpKey) -> ExpKey:
         return b
     if not b:
         return a
+    if len(b) == 1:
+        # one factor: insert it into the sorted key, or add to its exponent
+        ((vid, e),) = b
+        for pos, (v, k) in enumerate(a):
+            if v == vid:
+                k += e
+                return a[:pos] + ((v, k),) + a[pos + 1 :] if k else a[:pos] + a[pos + 1 :]
+            if v > vid:
+                return a[:pos] + b + a[pos:]
+        return a + b
     out = dict(a)
     for vid, e in b:
         out[vid] = out.get(vid, 0) + e
     return tuple(sorted((v, e) for v, e in out.items() if e))
+
+
+def _add_term(terms: dict, key, c: Fraction) -> None:
+    """terms[key] += c in a sparse term dict, dropping the key if the sum
+    vanishes."""
+    prev = terms.get(key)
+    s = c if prev is None else prev + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
 
 
 def _exp_degree(key: ExpKey) -> int:
@@ -167,11 +191,7 @@ class Poly:
             return self
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, QZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _add_term(out, key, c)
         return Poly(self.ctx, out)
 
     def __neg__(self) -> "Poly":
@@ -193,12 +213,7 @@ class Poly:
         out: dict[ExpKey, Fraction] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                key = _merge_exp(ka, kb)
-                s = out.get(key, QZERO) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                _add_term(out, _merge_exp(ka, kb), ca * cb)
         return Poly(self.ctx, out)
 
     __rmul__ = __mul__
@@ -278,12 +293,7 @@ class Poly:
                 d.pop(var.vid)
             else:
                 d[var.vid] = e - 1
-            k2 = tuple(sorted(d.items()))
-            s = out.get(k2, QZERO) + c * e
-            if s:
-                out[k2] = s
-            else:
-                out.pop(k2, None)
+            _add_term(out, tuple(sorted(d.items())), c * e)
         return Poly(self.ctx, out)
 
     def subs(self, mapping: dict[int, "Poly | Fraction | int"]) -> "Poly":

@@ -2,10 +2,7 @@
 Maurer-Cartan power-series structure equations, restriction to a pseudo-group,
 and pull-back substitution for normalized structure equations.
 
-Contact forms are tracked as first-class symbols, but the pipelines here
-work modulo contact forms and simply never introduce them; the ``drop`` hook
-of :func:`substitute` lets a caller discard a symbol class explicitly when
-realizing that convention.
+The pipelines here work modulo contact forms and never introduce them.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from .jets import Counts, JetContext, mi_bump, mi_factorial, mi_order, mi_up_to,
 
 
 class FormSymbol:
-    """A degree-one basis symbol (sigma^a, omega^i, mu^a_B, theta^alpha_J, ...)."""
+    """A degree-one basis symbol (sigma^a, omega^i, mu^a_B, ...)."""
 
     __slots__ = ("sid", "kind", "index", "name", "skey")
 
@@ -33,7 +30,7 @@ class FormSymbol:
         return f"FormSymbol({self.name})"
 
 
-_KIND_RANK = {"sigma": 0, "omega": 1, "mc": 2, "theta": 3, "d": 4, "gen": 9}
+_KIND_RANK = {"sigma": 0, "omega": 1, "mc": 2, "d": 4, "gen": 9}
 
 
 class FormContext:
@@ -67,9 +64,6 @@ class FormContext:
     def mc(self, a: int, B: Counts) -> FormSymbol:
         return self._intern("mc", (a, mi_order(B), B), self._mc_name(a, B))
 
-    def theta(self, alpha: int, J: Counts) -> FormSymbol:
-        return self._intern("theta", (alpha, mi_order(J), J), f"theta^{self.jc.dependents[alpha]}_{J}")
-
     def gen(self, name: str) -> FormSymbol:
         return self._intern("gen", (name,), name)
 
@@ -97,7 +91,7 @@ class FormContext:
         return ExteriorForm(self, {(sym.sid,): c})
 
     def scalar_form(self, coeff) -> "ExteriorForm":
-        c = coeff if isinstance(coeff, RatFn) else self.jc.ratfn(c)
+        c = coeff if isinstance(coeff, RatFn) else self.jc.ratfn(coeff)
         if c.is_zero():
             return self.form()
         return ExteriorForm(self, {(): c})
@@ -208,14 +202,6 @@ class ExteriorForm:
     def coefficient_of_word(self, word: Word) -> RatFn:
         return self.terms.get(tuple(word), self.fc.jc.ratfn(0))
 
-    def map_coeffs(self, fn: Callable[[RatFn], RatFn]) -> "ExteriorForm":
-        out = {}
-        for w, c in self.terms.items():
-            c2 = fn(c)
-            if not c2.is_zero():
-                out[w] = c2
-        return ExteriorForm(self.fc, out)
-
     def pretty(self) -> str:
         return format_form(self)
 
@@ -255,10 +241,9 @@ def substitute(
     form: ExteriorForm,
     mapping: dict[int, ExteriorForm],
     coeff_sub: Optional[Callable[[RatFn], RatFn]] = None,
-    drop: Optional[Callable[[FormSymbol], bool]] = None,
 ) -> ExteriorForm:
-    """Replace symbols by one-forms (with signs handled by re-wedging), apply a
-    coefficient substitution, and optionally drop a symbol class."""
+    """Replace symbols by one-forms (with signs handled by re-wedging) and
+    apply a coefficient substitution."""
     fc = form.fc
     out = fc.form()
     for word, c in form.terms.items():
@@ -267,18 +252,12 @@ def substitute(
             if c.is_zero():
                 continue
         piece = fc.scalar_form(c)
-        dead = False
         for sid in word:
-            sym = fc.by_id(sid)
-            if drop is not None and drop(sym):
-                dead = True
-                break
             repl = mapping.get(sid)
-            piece = piece.wedge(repl if repl is not None else fc.one_form(sym))
+            piece = piece.wedge(repl if repl is not None else fc.one_form(fc.by_id(sid)))
             if piece.is_zero():
-                dead = True
                 break
-        if not dead:
+        else:
             out = out + piece
     return out
 

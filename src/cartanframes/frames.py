@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exact import ExactError, ExactMatrix, Poly, Q, RatFn, solve_linear
+from .exact import QZERO, ExactError, ExactMatrix, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
 from .exterior import (
     EquationSet,
     ExteriorForm,
@@ -199,7 +199,8 @@ class RecurrenceEngine:
         self.fc = fc if fc is not None else FormContext(self.jc)
         self.generator = universal_generator(self.jc, self.system)
         self._mu_cache: dict[JetKey, ExteriorForm] = {}
-        self._iota_cache: dict[int, RatFn] = {}
+        self._iota_cache: dict[int, tuple[Fraction, ExpKey]] = {}
+        self._field_jet: dict[int, JetKey | bool] = {}
         self._char_cache = None
 
     # -- invariantization ------------------------------------------------------
@@ -210,7 +211,9 @@ class RecurrenceEngine:
             return self.jc.ratfn(status[1])
         return self.jc.rvar(self.jc.invariant_var(coord))
 
-    def _iota_var(self, vid: int) -> RatFn:
+    def _iota_var(self, vid: int) -> tuple[Fraction, ExpKey]:
+        """iota of one variable as (constant, monomial key): a normalized
+        coordinate gives (value, ()), a free one (1, its invariant)."""
         got = self._iota_cache.get(vid)
         if got is not None:
             return got
@@ -224,19 +227,29 @@ class RecurrenceEngine:
             val = self.jc.rvar(var)
         else:
             raise ExactError(f"cannot invariantize {var.name}")
-        self._iota_cache[vid] = val
-        return val
+        if len(val.num.terms) > 1 or not val.den.is_constant():
+            raise ExactError(f"iota({var.name}) is not a monomial")
+        key, c = next(iter(val.num.terms.items()), ((), QZERO))
+        got = self._iota_cache[vid] = (c / val.den.constant_value(), key)
+        return got
 
     def iota_poly(self, p: Poly) -> RatFn:
-        out = self.jc.ratfn(0)
+        """Invariantize a polynomial by substituting the monomial image of each
+        variable; the result is normalized once, at the end."""
+        out: dict[ExpKey, Fraction] = {}
         for key, c in p.terms.items():
-            term = self.jc.ratfn(c)
+            mono: ExpKey = ()
             for vid, e in key:
-                base = self._iota_var(vid)
-                for _ in range(e):
-                    term = term * base
-            out = out + term
-        return out
+                const, ikey = self._iota_var(vid)
+                if not const:
+                    break
+                if const != 1:
+                    c = c * const**e
+                if ikey:
+                    mono = _merge_exp(mono, ikey if e == 1 else tuple((v, k * e) for v, k in ikey))
+            else:
+                _add_term(out, mono, c)
+        return RatFn(Poly(self.jc.ctx, out), self.jc.poly(1))
 
     # -- Maurer-Cartan expansion --------------------------------------------------
 
@@ -274,29 +287,36 @@ class RecurrenceEngine:
 
     # -- recurrence relations --------------------------------------------------------
 
+    def _field_jet_key(self, vid: int):
+        """(field index, multi-index) if ``vid`` is a field jet, else False;
+        stored in ``_field_jet``."""
+        decoded = self.jc.decode(self.jc.ctx.var_by_id(vid))
+        got = self._field_jet[vid] = (decoded[1], decoded[2]) if decoded[0] == "f" else False
+        return got
+
     def lift_linear(self, phi: Poly) -> ExteriorForm:
         """Lift of a polynomial that is linear in the coefficient-field jets."""
         fc = self.fc
-        coeffs: dict[JetKey, Poly] = {}
+        # field jet -> terms of its coefficient; each term of phi is one
+        # (field jet, coefficient monomial) pair, so no two of them collide
+        coeffs: dict[JetKey, dict[ExpKey, Fraction]] = {}
+        field_jet = self._field_jet
         for key, c in phi.terms.items():
             fkey = None
-            rest = []
-            for vid, e in key:
-                var = self.jc.ctx.var_by_id(vid)
-                decoded = self.jc.decode(var)
-                if decoded[0] == "f":
+            for pos, (vid, e) in enumerate(key):
+                got = field_jet.get(vid)
+                if got is None:
+                    got = self._field_jet_key(vid)
+                if got:
                     if fkey is not None or e != 1:
                         raise ExactError("lift: polynomial is not linear in field jets")
-                    fkey = (decoded[1], decoded[2])
-                else:
-                    rest.append((vid, e))
+                    fkey, rest = got, key[:pos] + key[pos + 1 :]
             if fkey is None:
                 raise ExactError("lift: term without a field jet")
-            mono = Poly(self.jc.ctx, {tuple(sorted(rest)): c})
-            coeffs[fkey] = coeffs.get(fkey, self.jc.poly(0)) + mono
+            coeffs.setdefault(fkey, {})[rest] = c
         out = fc.form()
-        for fkey, poly in coeffs.items():
-            coeff = self.iota_poly(poly)
+        for fkey, terms in coeffs.items():
+            coeff = self.iota_poly(Poly(self.jc.ctx, terms))
             if coeff.is_zero():
                 continue
             out = out + self.mu_form(fkey).scale(coeff)
@@ -790,12 +810,7 @@ def _field_linear_to_tpoly(engine: RecurrenceEngine, phi):
         if value is None:
             return None
         if value:
-            tkey = (fkey[1], fkey[0])
-            s = terms.get(tkey, Q(0)) + value
-            if s:
-                terms[tkey] = s
-            else:
-                terms.pop(tkey, None)
+            _add_term(terms, (fkey[1], fkey[0]), value)
     return TPoly(m, terms)
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .exact import ExactError, ExactMatrix, Q, ordered_row_echelon, rank
+from .exact import ExactError, ExactMatrix, Q, _add_term, ordered_row_echelon, rank
 from .jets import Counts, mi_add, mi_all, mi_divides, mi_order, mi_up_to, mi_zero
 
 TTerm = tuple[Counts, int]
@@ -43,11 +43,7 @@ class TPoly:
     def __add__(self, other: "TPoly") -> "TPoly":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Q(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _add_term(out, k, c)
         return TPoly(self.m, out)
 
     def __neg__(self):
@@ -134,18 +130,10 @@ class SPoly:
     def __add__(self, other: "SPoly") -> "SPoly":
         st = dict(self.stilde)
         for i, c in other.stilde.items():
-            s = st.get(i, Q(0)) + c
-            if s:
-                st[i] = s
-            else:
-                st.pop(i, None)
+            _add_term(st, i, c)
         tm = dict(self.terms)
         for k, c in other.terms.items():
-            s = tm.get(k, Q(0)) + c
-            if s:
-                tm[k] = s
-            else:
-                tm.pop(k, None)
+            _add_term(tm, k, c)
         return SPoly(self.p, self.q, st, tm)
 
     def __neg__(self):
@@ -700,14 +688,6 @@ def membership_by_linear_algebra(e: SPoly, gens: Sequence[SPoly], degree: int) -
     base_rank = rank(ExactMatrix(rows, columns)) if rows else 0
     aug_rank = rank(ExactMatrix(rows + [target], columns))
     return base_rank == aug_rank
-
-
-def invariantize_tpoly(e: TPoly, coeff_sub: Callable[[Fraction], Fraction] = None) -> TPoly:
-    """Coefficient-wise substitution hook; with rational coefficients already
-    frozen at cross-section constants this is the identity."""
-    if coeff_sub is None:
-        return e
-    return TPoly(e.m, {k: Q(coeff_sub(c)) for k, c in e.terms.items()})
 
 
 # -- dimension checks (sum identity and U = J) ----------------------------------------------

@@ -17,9 +17,10 @@ Symbol tables grow lazily: asking for ``u_xxx`` the first time registers it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from .exact import Context, ExactError, Poly, RatFn, Variable
+from .exact import Context, ExactError, ExpKey, Poly, RatFn, Variable, _add_term, _merge_exp
 
 Counts = tuple[int, ...]
 
@@ -107,6 +108,8 @@ class JetContext:
         self.q = len(dependents)
         self.fields: list[Field] = []
         self._field_by_name: dict[str, Field] = {}
+        # (variable id, i) -> monomials of D_i(variable), filled by _dvar
+        self._dvar_keys: dict[tuple[int, int], list[ExpKey]] = {}
         for i, name in enumerate(self.independents):
             self.ctx.variable(name, skey=(0, i), intern_key=("x", i))
 
@@ -260,15 +263,37 @@ class JetContext:
             raise ExactError("total derivative of an opaque invariant symbol")
         return self.poly(0)
 
+    def _dvar(self, vid: int, i: int) -> list[ExpKey]:
+        """Monomials of D_i(variable ``vid``), stored in ``_dvar_keys``.  Each
+        has coefficient 1: D_i of a coordinate is 0, 1 or another jet
+        coordinate."""
+        terms = self._var_derivative(self.ctx.var_by_id(vid), i).terms
+        if any(c != 1 for c in terms.values()):
+            raise ExactError("total derivative of a variable is not a sum of monomials")
+        keys = self._dvar_keys[(vid, i)] = list(terms)
+        return keys
+
     def total_derivative_poly(self, f: Poly, i: int) -> Poly:
-        out = self.poly(0)
-        for vid in f.variables():
-            var = self.ctx.var_by_id(vid)
-            dv = self._var_derivative(var, i)
-            if dv.is_zero():
-                continue
-            out = out + f.partial(var) * dv
-        return out
+        """D_i f by the chain rule in one pass over the terms of f: each factor
+        v^e of a monomial contributes e * v^(e-1) * D_i(v) times the rest."""
+        out: dict[ExpKey, Fraction] = {}
+        cached = self._dvar_keys
+        for key, c in f.terms.items():
+            for pos, (vid, e) in enumerate(key):
+                dv = cached.get((vid, i))
+                if dv is None:
+                    dv = self._dvar(vid, i)
+                if not dv:
+                    continue
+                if e == 1:
+                    rest = key[:pos] + key[pos + 1 :]
+                    ce = c
+                else:
+                    rest = key[:pos] + ((vid, e - 1),) + key[pos + 1 :]
+                    ce = c * e
+                for dkey in dv:
+                    _add_term(out, _merge_exp(rest, dkey), ce)
+        return Poly(self.ctx, out)
 
     def total_derivative(self, f: Poly | RatFn, i: int) -> Poly | RatFn:
         """D_{x^i} f via the chain rule over all registered symbol families."""

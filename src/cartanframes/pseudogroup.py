@@ -99,12 +99,6 @@ class DeterminingSystem:
         self.order = max(self.order, mi_order(lead[1]))
         self._reduced.clear()
 
-    def copy(self) -> "DeterminingSystem":
-        out = DeterminingSystem(self.jc, self.fields, self.order)
-        for lead in self.lead_list:
-            out.add_relation(lead, dict(self.original[lead]))
-        return out
-
     # -- solved-set structure ------------------------------------------------
 
     def lead_for(self, key: JetKey) -> Optional[JetKey]:

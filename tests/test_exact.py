@@ -203,3 +203,57 @@ def test_normal_form_idempotent_randomized(sn, sd):
     nf = normal_form(f)
     assert normal_form(nf) == nf
     assert nf == RatFn(num, den)
+
+
+def test_constant_ratfn_is_canonical(ctx):
+    half = ctx.ratfn(Fraction(1, 2))
+    quotient = ctx.ratfn(1) / ctx.ratfn(2)
+    assert half == quotient and hash(half) == hash(quotient)
+    assert (half.num, half.den) == (ctx.poly(1), ctx.poly(2))
+    assert normal_form(half) == half
+    assert ctx.ratfn(Fraction(-3, 4)) == Fraction(-3, 4)
+    assert ctx.ratfn(0) == RatFn(ctx.poly(0), ctx.poly(5))
+
+
+ratfn_specs = st.one_of(
+    st.tuples(st.just("const"), st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+    st.tuples(st.just("poly"), st.tuples(small_polys, small_polys)),
+)
+
+
+def _ratfn_of(ctx, x, u, spec):
+    kind, data = spec
+    if kind == "const":
+        return ctx.ratfn(data)
+    num, den = (_poly_of(ctx, x, u, s) for s in data)
+    return RatFn(num, den if den else ctx.poly(3))
+
+
+@given(ratfn_specs, ratfn_specs, ratfn_specs, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_ratfn_equality_is_zero_difference(sa, sb, sc, rebuild):
+    ctx = Context()
+    x = ctx.poly_var(ctx.variable("x"))
+    u = ctx.poly_var(ctx.variable("u"))
+    a = _ratfn_of(ctx, x, u, sa)
+    c = _ratfn_of(ctx, x, u, sc)
+    # with ``rebuild``, b is a's value reached through arithmetic
+    b = (a * c) / c if rebuild and not c.is_zero() else _ratfn_of(ctx, x, u, sb)
+    assert (a == b) == (a - b).is_zero()
+    if a == b:
+        assert hash(a) == hash(b)
+    for f in (a, b, a - b, a * b):
+        nf = normal_form(f)
+        assert nf == f and (nf.num.terms, nf.den.terms) == (f.num.terms, f.den.terms)
+        assert normal_form(nf) == nf
+
+
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=12), st.integers(min_value=1, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_constant_ratfn_equals_its_quotient(q, k):
+    ctx = Context()
+    a = ctx.ratfn(q)
+    b = ctx.ratfn(q.numerator * k) / ctx.ratfn(q.denominator * k)
+    assert a == b and hash(a) == hash(b)
+    assert (a - b).is_zero()
+    assert normal_form(a) == a and a.constant_value() == q

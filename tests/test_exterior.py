@@ -1,6 +1,8 @@
 """Wedge algebra, exterior derivative, diffeomorphism structure equations and
 restriction to a pseudo-group."""
 
+from fractions import Fraction
+
 import pytest
 
 from cartanframes.exact import ExactError
@@ -24,6 +26,14 @@ def fc2():
     fc.mc_names[0] = "mu"
     fc.mc_names[1] = "nu"
     return fc
+
+
+def test_scalar_form_accepts_int_and_fraction(fc2):
+    jc = fc2.jc
+    assert fc2.scalar_form(3).terms == {(): jc.ratfn(3)}
+    assert fc2.scalar_form(Fraction(1, 2)).terms == {(): jc.ratfn(1) / jc.ratfn(2)}
+    assert fc2.scalar_form(0).is_zero()
+    assert fc2.scalar_form(Fraction(0)).is_zero()
 
 
 def test_wedge_antisymmetry(fc2):
