@@ -15,6 +15,7 @@ graded lexicographic with respect to each variable's structural sort key.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -477,6 +478,12 @@ def _prs_gcd(ctx: Context, var: Variable, a: dict[int, Poly], b: dict[int, Poly]
             return ctx.poly(1)
         cont = _content(ctx, rem)
         rem = {e: _poly_divmod_exact(c, cont) for e, c in rem.items()}
+        # Over Q every scalar is a unit, so the content leaves the numeric
+        # factor in place; without this scaling the coefficients grow
+        # exponentially from one pseudo-remainder to the next.
+        scale = _primitive_scale([c for p in rem.values() for c in p.terms.values()])
+        if scale != 1:
+            rem = {e: c * scale for e, c in rem.items()}
         a, b = b, rem
 
 
@@ -573,6 +580,18 @@ class RatFn:
         return f"RatFn({format_ratfn(self)})"
 
 
+def _primitive_scale(coeffs: list[Fraction]) -> Fraction:
+    """The positive scalar that makes ``coeffs`` coprime integers: it clears
+    their denominators and divides out their common integer content."""
+    lcm_den = 1
+    for c in coeffs:
+        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
+    gcd_num = 0
+    for c in coeffs:
+        gcd_num = math.gcd(gcd_num, abs(c.numerator * (lcm_den // c.denominator)))
+    return Q(lcm_den, gcd_num)
+
+
 def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.is_zero():
         return num, den.ctx.poly(1)
@@ -580,18 +599,8 @@ def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not (g.is_constant() and g.constant_value() == 1):
         num = _poly_divmod_exact(num, g)
         den = _poly_divmod_exact(den, g)
-    # Scale to an integer-primitive pair (clears coefficient denominators,
-    # divides out the common integer content), then sign-normalize.
-    import math
-
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    lcm_den = 1
-    for c in coeffs:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    gcd_num = 0
-    for c in coeffs:
-        gcd_num = math.gcd(gcd_num, abs(c.numerator * (lcm_den // c.denominator)))
-    scale = Q(lcm_den, gcd_num)
+    # Scale to an integer-primitive pair, then sign-normalize.
+    scale = _primitive_scale(list(num.terms.values()) + list(den.terms.values()))
     if scale != 1:
         num, den = num * scale, den * scale
     if den.leading_coeff() < 0:

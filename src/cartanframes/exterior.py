@@ -328,41 +328,41 @@ class EquationSet:
                 out.append(self.fc.by_id(sid))
         return out
 
-    def d_squared_audit(self, coeff_rule: Callable[[RatFn], ExteriorForm], skip_missing: bool = False):
-        """Apply d to every right side; nonzero results are returned as
-        (symbol, residual 2-form) failures.  With ``skip_missing`` equations
-        whose right side mentions a symbol lacking both an equation and a
-        residual mark are skipped instead of raising (useful at truncation
-        boundaries)."""
-        failures = []
-        for sid, rhs in self.equations.items():
-            def rules(sym: FormSymbol):
-                if sym.sid in self.equations:
-                    return self.equations[sym.sid]
-                if sym.sid in self.residual:
-                    return None if not skip_missing else None
-                return None
+    def d_squared_audit(self, coeff_rule: Callable[[RatFn], ExteriorForm]):
+        """The d^2 = 0 audit: apply d to every right side, using the equations
+        for the symbols and ``coeff_rule`` for the coefficients.
 
-            missing = [
-                s
-                for s in rhs.symbols()
-                if s not in self.equations and s not in self.residual
-            ]
-            if missing:
-                if skip_missing:
-                    continue
-                raise ExactError(
-                    f"dangling symbols in d({self.fc.by_id(sid).name}): "
-                    + ", ".join(self.fc.by_id(s).name for s in missing)
-                )
-            residual_hit = [s for s in rhs.symbols() if s in self.residual]
-            if residual_hit:
-                # d of a residual form is unknown; audit only if none appear
+        An equation is skipped when its right side mentions a symbol without
+        an equation (a residual isotropy form, or one beyond the truncation) or
+        when ``coeff_rule`` raises ``MissingRule``.  Returns (failures,
+        audited, skipped): failures are (symbol, nonzero 2-form) pairs, the
+        other two lists of symbols."""
+        failures, audited, skipped = [], [], []
+        for sid, rhs in self.equations.items():
+            sym = self.fc.by_id(sid)
+            if not self.closed(rhs):
+                skipped.append(sym)
                 continue
-            dd = exterior_derivative(rhs, lambda sym: self.equations.get(sym.sid, None) if sym.sid in self.equations else None, coeff_rule)
-            if not dd.is_zero():
-                failures.append((self.fc.by_id(sid), dd))
-        return failures
+            try:
+                dd = exterior_derivative(rhs, lambda s: self.equations.get(s.sid), coeff_rule)
+            except MissingRule:
+                skipped.append(sym)
+                continue
+            if dd.is_zero():
+                audited.append(sym)
+            else:
+                failures.append((sym, dd))
+        return failures, audited, skipped
+
+    def closed(self, rhs: ExteriorForm) -> bool:
+        """True if every symbol of ``rhs`` has an equation, so d(rhs) can be
+        expanded."""
+        return rhs.symbols() <= self.equations.keys()
+
+
+class MissingRule(Exception):
+    """Raised by a coefficient rule that cannot differentiate a coefficient;
+    the d^2 audit then skips the equation."""
 
 
 # -- diffeomorphism structure equations -----------------------------------------

@@ -20,8 +20,7 @@ from .exterior import (
     EquationSet,
     ExteriorForm,
     FormContext,
-    FormSymbol,
-    exterior_derivative,
+    MissingRule,
     substitute,
 )
 from .jets import (
@@ -462,29 +461,37 @@ class RecurrenceEngine:
         rec = self.recurrence(subject)
         return RecurrenceRelation(subject, state.reduce(rec.rhs))
 
-    def invariant_differential(self, state: FrameState, inv_order: int):
-        """Map iota-variable id -> its reduced recurrence form (for d2 audits)."""
-        out: dict[int, ExteriorForm] = {}
+    def invariant_differential(self, state: FrameState, inv_order: int, vids: set[int]) -> dict[int, ExteriorForm]:
+        """Map invariant-variable id -> its reduced recurrence form, for the
+        ids in ``vids`` that belong to an eligible coordinate: an x^i, or a
+        free or nonvanishing u-jet up to ``inv_order``.
+
+        Every eligible coordinate's invariant variable is registered first,
+        in a fixed order, so variable ids do not depend on ``vids``."""
+        coords: dict[int, Coord] = {}
         for i in range(self.jc.p):
-            coord = ("x", i)
-            var = self.jc.invariant_var(coord)
-            out[var.vid] = self.reduced_recurrence(coord, state).rhs
+            coords[self.jc.invariant_var(("x", i)).vid] = ("x", i)
         for alpha in range(self.jc.q):
             for J in mi_up_to(self.jc.p, inv_order):
                 coord = ("u", alpha, J)
-                if self.cs.status(coord)[0] == "free" or self.cs.status(coord)[0] == "nonvanishing":
-                    var = self.jc.invariant_var(coord)
-                    out[var.vid] = self.reduced_recurrence(coord, state).rhs
-        return out
+                if self.cs.status(coord)[0] in ("free", "nonvanishing"):
+                    coords[self.jc.invariant_var(coord).vid] = coord
+        return {vid: self.reduced_recurrence(coord, state).rhs for vid, coord in coords.items() if vid in vids}
 
     def audit_d_squared(self, state: FrameState, eqs: EquationSet, inv_order: int):
         """d^2 = 0 integrability audit on a normalized equation set.
 
-        Coefficients are differentiated through their reduced recurrence
-        relations; equations whose expansion reaches a symbol without a rule
-        (beyond the working order) are reported as skipped rather than
+        Coefficients are differentiated through the reduced recurrence
+        relations of their invariants, built only for the equations the audit
+        expands; an equation whose coefficients reach an invariant without a
+        rule (beyond the working order) is reported as skipped rather than
         failed.  Returns (failures, audited, skipped)."""
-        diff_map = self.invariant_differential(state, inv_order)
+        vids: set[int] = set()
+        for rhs in eqs.equations.values():
+            if eqs.closed(rhs):
+                for c in rhs.terms.values():
+                    vids |= c.num.variables() | c.den.variables()
+        diff_map = self.invariant_differential(state, inv_order, vids)
         fc = self.fc
 
         def coeff_rule(c: RatFn) -> ExteriorForm:
@@ -495,35 +502,13 @@ class RecurrenceEngine:
                     raise ExactError(f"cannot differentiate coefficient {var.name}")
                 rule = diff_map.get(vid)
                 if rule is None:
-                    raise _MissingRule(var.name)
-                dn = c.num.partial(var)
-                dd = c.den.partial(var)
-                partial = RatFn(dn * c.den - c.num * dd, c.den * c.den)
+                    raise MissingRule(var.name)
+                partial = _ratfn_partial(c, var)
                 if not partial.is_zero():
                     out = out + rule.scale(partial)
             return out
 
-        failures, audited, skipped = [], [], []
-        for sid, rhs in eqs.equations.items():
-            sym = fc.by_id(sid)
-            missing = [s for s in rhs.symbols() if s not in eqs.equations]
-            if missing:
-                skipped.append(sym)
-                continue
-            try:
-                dd = exterior_derivative(rhs, lambda s: eqs.equations.get(s.sid), coeff_rule)
-            except _MissingRule:
-                skipped.append(sym)
-                continue
-            if dd.is_zero():
-                audited.append(sym)
-            else:
-                failures.append((sym, dd))
-        return failures, audited, skipped
-
-
-class _MissingRule(Exception):
-    pass
+        return eqs.d_squared_audit(coeff_rule)
 
 
 def normalized_structure_equations(

@@ -29,7 +29,6 @@ integer matches any value, declaring a whole normalization family.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -46,11 +45,11 @@ class ParseError(ExactError):
         self.col = col
 
 
-@dataclass
 class TPolyDecl:
     """A t,T-polynomial given literally: list of (counts, target index, coeff)."""
 
-    terms: list
+    def __init__(self, terms: list):
+        self.terms = terms
 
 
 class ProblemFile:

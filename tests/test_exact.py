@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cartanframes.exact import (
@@ -229,7 +229,15 @@ def _ratfn_of(ctx, x, u, spec):
     return RatFn(num, den if den else ctx.poly(3))
 
 
+# a = (-u^2 - x*u)/(-2x^2u - 3u^2 - 2x + 2x^2),
+# b = (2 + 3x^2u - 4x + 3x^2u^2)/(4x^2u^2 + x^2u - 4xu^2 + 2x): the gcd behind
+# a - b once grew its pseudo-remainder coefficients without bound
+SLOW_GCD_A = ("poly", ([(0, 2, -1), (1, 1, -1)], [(2, 1, -2), (0, 2, -3), (1, 0, -2), (2, 0, 2)]))
+SLOW_GCD_B = ("poly", ([(0, 0, 2), (2, 1, 3), (1, 0, -4), (2, 2, 3)], [(2, 2, 4), (2, 1, 1), (1, 2, -4), (1, 0, 2)]))
+
+
 @given(ratfn_specs, ratfn_specs, ratfn_specs, st.booleans())
+@example(SLOW_GCD_A, SLOW_GCD_B, ("const", Fraction(1)), False)
 @settings(max_examples=80, deadline=None)
 def test_ratfn_equality_is_zero_difference(sa, sb, sc, rebuild):
     ctx = Context()
@@ -246,6 +254,23 @@ def test_ratfn_equality_is_zero_difference(sa, sb, sc, rebuild):
         nf = normal_form(f)
         assert nf == f and (nf.num.terms, nf.den.terms) == (f.num.terms, f.den.terms)
         assert normal_form(nf) == nf
+
+
+def test_ratfn_difference_with_a_long_gcd_remainder_sequence():
+    ctx = Context()
+    x = ctx.poly_var(ctx.variable("x"))
+    u = ctx.poly_var(ctx.variable("u"))
+    a = _ratfn_of(ctx, x, u, SLOW_GCD_A)
+    b = _ratfn_of(ctx, x, u, SLOW_GCD_B)
+    d = a - b
+    assert d == RatFn(a.num * b.den - b.num * a.den, a.den * b.den)
+    assert not d.is_zero() and d + b == a
+    assert poly_gcd(a.den, b.den) == ctx.poly(1)
+    assert poly_gcd(a.den * b.num, b.den * b.num) == _monic_of(b.num)
+
+
+def _monic_of(p):
+    return p * (1 / p.leading_coeff())
 
 
 @given(st.fractions(min_value=-9, max_value=9, max_denominator=12), st.integers(min_value=1, max_value=12))

@@ -159,8 +159,11 @@ def test_diffeo_d_squared():
     jc = JetContext(["x", "u"], ["w"])
     fc = FormContext(jc)
     eqs = diffeo_structure_equations(fc, 2, 3)
-    failures = eqs.d_squared_audit(lambda c: fc.form(), skip_missing=True)
+    failures, audited, skipped = eqs.d_squared_audit(lambda c: fc.form())
     assert failures == []
+    # d(mu_B) with #B = 2 mentions order-3 forms, which carry no equation
+    assert {s.sid for s in skipped} == {s.sid for s, _ in eqs.items() if s.kind == "mc" and s.index[1] == 2}
+    assert len(audited) + len(skipped) == len(eqs.equations)
 
 
 def _contact_restricted(order):

@@ -1,6 +1,7 @@
 """Problem file parsing, canonical printing, CLI reports and replay digests."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -226,3 +227,15 @@ def test_cli_entry_point_installed():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("base x u;")
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Every cartan-frames process pays the CLI's imports; dataclasses pulls
+    in inspect, which alone costs more than the package."""
+    import cartanframes
+
+    src = str(pathlib.Path(cartanframes.__file__).resolve().parent.parent)
+    code = "import sys, cartanframes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
