@@ -4,17 +4,15 @@ coframe structure equations, and the isotropy annihilator polynomials feeding
 the Cartan test."""
 
 import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-
-from conftest import Frame
 
 from cartanframes.frames import isotropy_annihilator
+from cartanframes.session import Session
+
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
 
 def main():
-    fr = Frame("contact", inv_order=4, mc_order=2)
+    fr = Session.load(PROBLEMS / "contact.prob", order=4, mc_order=2)
     print("== normalized Maurer-Cartan forms ==")
     for key, label in [
         ((0, (0, 0, 0, 0)), "mu^x"),

@@ -8,21 +8,19 @@ Cartan test, characters and arbitrary-function counts.
 """
 
 import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-
-from conftest import Frame, load_problem
 
 from cartanframes.frames import isotropy_annihilator
 from cartanframes.involution import (
-    TPoly,
     arbitrary_function_counts,
     cartan_characters,
     cartan_test,
     delta_regular_search,
     t_homogeneous_component,
 )
+from cartanframes.problem import parse_problem
+from cartanframes.session import Session
+
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
 
 def run(label, gens, m, names, char_m):
@@ -49,7 +47,7 @@ def run(label, gens, m, names, char_m):
 
 
 def main():
-    fr = Frame("contact", inv_order=4, mc_order=2)
+    fr = Session.load(PROBLEMS / "contact.prob", order=4, mc_order=2)
     polys = isotropy_annihilator(fr.engine, fr.state, 1)
     names = fr.jc.independents + fr.jc.dependents
     run("contact equivalence of second order ODEs", polys, 4, names, 4)
@@ -58,14 +56,8 @@ def main():
         ("twoform_case1", "two-form and vector field, constant invariant"),
         ("twoform_case21", "two-form and vector field, A_ZZ = A_Z^2"),
     ):
-        pf = load_problem(name)
-        gens = []
-        for decl in pf.tpoly:
-            poly = TPoly(3)
-            for counts, target, coeff in decl.terms:
-                poly = poly + TPoly(3, {(counts, target): coeff})
-            gens.append(poly)
-        run(label, gens, 3, pf.base, 3)
+        pf = parse_problem((PROBLEMS / f"{name}.prob").read_text())
+        run(label, pf.module_generators("t"), 3, pf.base, 3)
 
 
 if __name__ == "__main__":

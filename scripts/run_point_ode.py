@@ -8,13 +8,16 @@ the singular branch with its SL(3)-type structure equations.
 """
 
 import pathlib
-import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from cartanframes.exact import format_ratfn
+from cartanframes.frames import commutator_invariants
+from cartanframes.session import Session
 
-from conftest import Frame, make_engine
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
-from cartanframes.frames import CrossSection, RecurrenceEngine, commutator_invariants
+
+def load(name, order=3, mc_order=2):
+    return Session.load(PROBLEMS / f"{name}.prob", order, mc_order)
 
 
 def section(title):
@@ -24,13 +27,12 @@ def section(title):
 
 def main():
     section("raw order-0 recurrence relations")
-    pf, jc, system, cs, mc, engine0 = make_engine("point")
-    raw = RecurrenceEngine(mc, CrossSection(jc), fc=engine0.fc)
+    raw = load("point").raw_engine
     for coord, label in [(("x", 0), "dX"), (("x", 1), "dU"), (("x", 2), "dP"), (("u", 0, (0, 0, 0)), "dQ")]:
         print(f"{label} = {raw.recurrence(coord).rhs.pretty()}")
 
     section("universal frame: resolved Maurer-Cartan forms of order <= 3")
-    fr = Frame("point", inv_order=5, mc_order=2)
+    fr = load("point", order=5, mc_order=2)
     for key in sorted(fr.state.resolved, key=lambda k: (sum(k[1]), k[0], k[1])):
         if sum(key[1]) <= 3:
             name = fr.fc.mc(key[0], key[1]).name
@@ -44,7 +46,7 @@ def main():
         print(f"d{name} = {rec.rhs.pretty()}")
 
     section("generic branch: invariant coframe")
-    b1 = Frame("point_branch1", inv_order=5, mc_order=2)
+    b1 = load("point_branch1", order=5, mc_order=2)
     for i, nm in [(0, "dw^x"), (1, "dw^u"), (2, "dw^p")]:
         print(f"{nm} = {b1.coframe.get(b1.fc.omega(i)).pretty()}")
     Y, partial = commutator_invariants(b1.engine, b1.coframe)
@@ -52,14 +54,12 @@ def main():
     names = b1.jc.independents
     for (k, i, j), value in sorted(Y.items()):
         if not value.is_zero():
-            from cartanframes.exact import format_ratfn
-
             print(f"  Y[{names[k]};{names[i]},{names[j]}] = {format_ratfn(value)}")
     failures, audited, _ = b1.engine.audit_d_squared(b1.state, b1.coframe, 6)
     print(f"d^2 audit: {'pass' if not failures else 'FAIL'} on {len(audited)} equations")
 
     section("singular branch: structure equations of the symmetry group")
-    b4 = Frame("point_branch4", inv_order=6, mc_order=3)
+    b4 = load("point_branch4", order=6, mc_order=3)
     fc = b4.fc
     for i in range(3):
         print(f"dw^{b4.jc.independents[i]} = {b4.coframe.get(fc.omega(i)).pretty()}")

@@ -20,19 +20,14 @@ from fractions import Fraction
 from .exact import ExactError, RatFn, format_ratfn
 from .exterior import diffeo_structure_equations, restrict_to_pseudogroup
 from .frames import (
-    CrossSection,
-    RecurrenceEngine,
     SampledSubmanifold,
     classify_ode,
     commutator_invariants,
     isotropy_annihilator,
-    normalized_structure_equations,
     oracle_classify_ode,
     signature_compare,
 )
 from .involution import (
-    SPoly,
-    TPoly,
     arbitrary_function_counts,
     cartan_characters,
     cartan_test,
@@ -42,8 +37,12 @@ from .involution import (
     t_homogeneous_component,
 )
 from .jets import JetContext, mi_order, mi_up_to
-from .problem import ParseError, ProblemFile, parse_problem, print_problem
-from .pseudogroup import lift_system
+from .problem import ParseError, ProblemFile, _ExprParser, _field_jet_token, _Tokens, parse_problem, print_problem
+from .session import Session
+
+
+class UsageError(Exception):
+    """A bad command-line value: reported as ``error: ...``, exit 1."""
 
 
 class Report:
@@ -59,24 +58,13 @@ class Report:
         return f"{body}\ndigest = sha256:{digest}\n"
 
 
-def _setup(pf: ProblemFile):
-    jc, system, cs = pf.build()
-    mc = lift_system(system)
-    engine = RecurrenceEngine(mc, cs)
-    for (stem, coord), alias in pf.print_aliases.items():
-        if coord in pf.base:
-            engine.fc.mc_names[pf.base.index(coord)] = alias
-    return jc, system, cs, mc, engine
-
-
 def _field_jet_name(pf: ProblemFile, key) -> str:
-    from .problem import _field_jet_token
-
     return _field_jet_token(pf, key[0], key[1])
 
 
 def cmd_lift(pf: ProblemFile, args, report: Report) -> int:
-    jc, system, cs, mc, engine = _setup(pf)
+    session = Session(pf)
+    system, mc = session.system, session.mc
     order = args.order if args.order is not None else 1
     system.prolong(order)
     count = 0
@@ -96,11 +84,10 @@ def cmd_lift(pf: ProblemFile, args, report: Report) -> int:
 
 
 def cmd_structure(pf: ProblemFile, args, report: Report) -> int:
-    jc, system, cs, mc, engine = _setup(pf)
+    session = Session(pf)
     order = args.order if args.order is not None else 1
-    fc = engine.fc
-    m = system.m
-    eqs = diffeo_structure_equations(fc, m, order)
+    system, mc = session.system, session.mc
+    eqs = diffeo_structure_equations(session.fc, system.m, order)
     if system.lead_list:
         system.prolong(order + 1)
         eqs = restrict_to_pseudogroup(eqs, mc, order)
@@ -110,13 +97,13 @@ def cmd_structure(pf: ProblemFile, args, report: Report) -> int:
 
 
 def cmd_recurrence(pf: ProblemFile, args, report: Report) -> int:
-    jc, system, cs, mc, engine = _setup(pf)
     order = args.order if args.order is not None else 1
+    session = Session(pf, order)
+    jc, cs = session.jc, session.cs
     if args.raw:
-        engine = RecurrenceEngine(mc, CrossSection(jc), fc=engine.fc)
-        state = None
+        engine, state = session.raw_engine, None
     else:
-        state = engine.normalize(order)
+        engine, state = session.engine, session.state
     for i in range(jc.p):
         rec = engine.recurrence(("x", i))
         rhs = state.reduce(rec.rhs) if state is not None else rec.rhs
@@ -134,10 +121,9 @@ def cmd_recurrence(pf: ProblemFile, args, report: Report) -> int:
 
 
 def cmd_normalize(pf: ProblemFile, args, report: Report) -> int:
-    jc, system, cs, mc, engine = _setup(pf)
     order = args.order if args.order is not None else 3
-    state = engine.normalize(order)
-    fc = engine.fc
+    session = Session(pf, order)
+    state, fc = session.state, session.fc
     for key in sorted(state.resolved, key=lambda k: (mi_order(k[1]), k[0], k[1])):
         value, stratum = state.resolved[key]
         report.add(f"frame.{fc.mc(key[0], key[1]).name}", state.reduce(value).pretty())
@@ -152,18 +138,13 @@ def cmd_normalize(pf: ProblemFile, args, report: Report) -> int:
 
 
 def cmd_coframe(pf: ProblemFile, args, report: Report) -> int:
-    jc, system, cs, mc, engine = _setup(pf)
     order = args.order if args.order is not None else 3
-    state = engine.normalize(order)
-    fc = engine.fc
     mc_order = args.mc_order if args.mc_order is not None else 2
-    eqs = diffeo_structure_equations(fc, system.m, mc_order + 1)
-    restricted = restrict_to_pseudogroup(eqs, mc, mc_order + 1)
-    residual = state.residual_keys(mc_order)
-    coframe = normalized_structure_equations(engine, state, restricted, keep_mc=residual)
+    session = Session(pf, order, mc_order)
+    jc, fc, engine, state, coframe = session.jc, session.fc, session.engine, session.state, session.coframe
     for i in range(jc.p):
         report.add(f"coframe.d(w^{jc.independents[i]})", coframe.get(fc.omega(i)).pretty())
-    for key in residual:
+    for key in session.residual:
         sym = fc.mc(key[0], key[1])
         rhs = coframe.get(sym)
         if rhs is not None:
@@ -190,37 +171,28 @@ def cmd_coframe(pf: ProblemFile, args, report: Report) -> int:
     return 0
 
 
-def _tpoly_from_decls(pf: ProblemFile):
-    m = len(pf.base)
-    out = []
-    for decl in pf.tpoly:
-        poly = TPoly(m)
-        for counts, target, coeff in decl.terms:
-            poly = poly + TPoly(m, {(counts, target): coeff})
-        out.append(poly)
-    return out
+def _priority(pf: ProblemFile, text: str) -> list[int]:
+    names = text.split(",")
+    if sorted(names) != sorted(pf.base):
+        raise UsageError(f"--priority {text!r} is not a permutation of the base coordinates {','.join(pf.base)}")
+    return [pf.base.index(nm) for nm in names]
 
 
 def cmd_cartan_test(pf: ProblemFile, args, report: Report) -> int:
     m = len(pf.base)
     n = args.order if args.order is not None else 1
+    priority = _priority(pf, args.priority) if args.priority else None
     if pf.tpoly:
-        gens = _tpoly_from_decls(pf)
+        gens = pf.module_generators("t")
     else:
-        jc, system, cs, mc, engine = _setup(pf)
-        state = engine.normalize(max(n + 2, 3))
-        gens = isotropy_annihilator(engine, state, n)
+        session = Session(pf, max(n + 2, 3))
+        gens = isotropy_annihilator(session.engine, session.state, n)
     comp = t_homogeneous_component(gens, m, n)
     if not comp:
         report.add("cartan.verdict", "empty degree component")
         return 0
-    if args.priority:
-        names = args.priority.split(",")
-        priority = [pf.base.index(nm) for nm in names]
-        search = None
-    else:
-        search = delta_regular_search(comp, n)
-        priority = search["priority"]
+    if priority is None:
+        priority = delta_regular_search(comp, n)["priority"]
     beta = indices(comp, n, priority)
     result = cartan_test(comp, n, priority)
     report.add("cartan.priority", ",".join(pf.base[i] for i in priority))
@@ -246,13 +218,7 @@ def cmd_cartan_test(pf: ProblemFile, args, report: Report) -> int:
 
 
 def cmd_groebner(pf: ProblemFile, args, report: Report) -> int:
-    p, q = len(pf.independent), len(pf.dependent)
-    gens = []
-    for decl in pf.spoly:
-        poly = SPoly(p, q)
-        for counts, target, coeff in decl.terms:
-            poly = poly + SPoly(p, q, {}, {(counts, target): coeff})
-        gens.append(poly)
+    gens = pf.module_generators("s")
     if not gens:
         report.add("groebner.error", "no spoly block in problem file")
         return 1
@@ -268,7 +234,7 @@ def cmd_classify(pf: ProblemFile, args, report: Report) -> int:
         report.add("classify.error", "missing --rhs")
         return 1
     jc = JetContext(["x", "u", "p"], ["q"])
-    F = _parse_scalar(jc, args.rhs)
+    F = _parse_option_expr(jc, "--rhs", args.rhs)
     label, i1, i2 = classify_ode(jc, F)
     olabel, o1, o2 = oracle_classify_ode(jc, F)
     report.add("classify.rhs", args.rhs)
@@ -280,21 +246,21 @@ def cmd_classify(pf: ProblemFile, args, report: Report) -> int:
     return 0 if label == olabel else 2
 
 
-def _parse_scalar(jc: JetContext, text: str) -> RatFn:
-    """Tiny expression evaluator over the classifier coordinates x, u, p."""
-    from .problem import ProblemFile as PF
-    from .problem import _ExprParser, _Tokens
-
-    pf = PF()
-    pf.base = ["x", "u", "p", "q"]
-    pf.independent = ["x", "u", "p"]
-    pf.dependent = ["q"]
-    pf.coeffs = []
-    toks = _Tokens(text + " ;")
-    parser = _ExprParser(toks, pf, jc)
-    value = parser.parse_expr()
-    if value.linear:
-        raise ExactError("right side must be a function of x, u, p")
+def _parse_option_expr(jc: JetContext, option: str, text: str) -> RatFn:
+    """A rational function of the independents of ``jc``, given as the value
+    of a command-line option; parse errors are located in that value."""
+    pf = ProblemFile()
+    pf.independent = list(jc.independents)
+    pf.dependent = list(jc.dependents)
+    pf.base = pf.independent + pf.dependent
+    try:
+        toks = _Tokens(text + " ;")
+        value = _ExprParser(toks, pf, jc).parse_expr()
+        kind, val, line, col = toks.peek()
+        if val != ";":
+            raise ParseError(f"trailing token {val!r}", line, col)
+    except ParseError as err:
+        raise UsageError(f"{option}:{err}") from None
     return value.scalar
 
 
@@ -302,8 +268,7 @@ def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
     if args.data is None:
         report.add("signature.error", "missing --data")
         return 1
-    with open(args.data) as handle:
-        data = json.load(handle)
+    data = _load_signature_data(args.data)
     params = data["parameters"]
     n = int(data.get("order", 1))
     tol = float(args.tol if args.tol is not None else data.get("tol", 1e-9))
@@ -311,7 +276,7 @@ def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
     def build(side):
         jc = JetContext(params, ["w"])
         grids = [list(map(float, g)) for g in side["grids"]]
-        exprs = [_parse_param_expr(jc, params, text) for text in side["invariants"]]
+        exprs = [_parse_option_expr(jc, "--data", text) for text in side["invariants"]]
         funcs = [_to_callable(jc, params, e) for e in exprs]
         derive = [_partial_operator(jc, params, i) for i in range(len(params))]
         return SampledSubmanifold(grids, funcs, derive)
@@ -329,19 +294,21 @@ def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
     return 0
 
 
-def _parse_param_expr(jc: JetContext, params, text: str):
-    from .problem import ProblemFile as PF
-    from .problem import _ExprParser, _Tokens
-
-    pf = PF()
-    pf.base = params + ["w"]
-    pf.independent = list(params)
-    pf.dependent = ["w"]
-    pf.coeffs = []
-    toks = _Tokens(text + " ;")
-    parser = _ExprParser(toks, pf, jc)
-    value = parser.parse_expr()
-    return value.scalar
+def _load_signature_data(path: str) -> dict:
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except OSError as err:
+        raise UsageError(f"--data {path}: {err.strerror}") from None
+    except ValueError as err:
+        raise UsageError(f"--data {path}: malformed JSON: {err}") from None
+    for key in ("parameters", "S", "Sbar", "S.grids", "S.invariants", "Sbar.grids", "Sbar.invariants"):
+        owner = data
+        for part in key.split("."):
+            if not isinstance(owner, dict) or part not in owner:
+                raise UsageError(f"--data {path}: missing key {key!r}")
+            owner = owner[part]
+    return data
 
 
 def _to_callable(jc: JetContext, params, expr: RatFn):
@@ -426,7 +393,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"{args.file}:{err}", file=sys.stderr)
         return 1
-    except ExactError as err:
+    except (ExactError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     rendered = report.render()

@@ -14,7 +14,6 @@ graded lexicographic with respect to each variable's structural sort key.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -691,46 +690,6 @@ def ordered_row_echelon(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
 
 def rank(m: ExactMatrix) -> int:
     return len(ordered_row_echelon(m)[1])
-
-
-def rank_by_minors(m: ExactMatrix) -> int:
-    """Independent oracle: largest k with a nonzero k x k minor.
-
-    Exponential; intended for cross-checking small matrices in tests.
-    """
-    best = 0
-    n = min(m.nrows, m.ncols)
-    for k in range(1, n + 1):
-        found = False
-        for rows in itertools.combinations(range(m.nrows), k):
-            for cols in itertools.combinations(range(m.ncols), k):
-                if _minor_det(m, rows, cols) != 0:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            best = k
-        else:
-            break
-    return best
-
-
-def _minor_det(m: ExactMatrix, rows, cols):
-    if len(rows) == 1:
-        return m.rows[rows[0]][cols[0]]
-    total = None
-    for j, c in enumerate(cols):
-        entry = m.rows[rows[0]][c]
-        if _entry_is_zero(entry):
-            continue
-        sub = _minor_det(m, rows[1:], cols[:j] + cols[j + 1 :])
-        term = entry * sub * (1 if j % 2 == 0 else -1)
-        total = term if total is None else total + term
-    if total is None:
-        zero = m.rows[rows[0]][cols[0]]
-        return zero - zero
-    return total
 
 
 class LinearSolveResult:

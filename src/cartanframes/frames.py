@@ -610,8 +610,7 @@ def isotropy_annihilator(engine: RecurrenceEngine, state: FrameState, n: int):
     """
     from .involution import TPoly
 
-    system = engine.system
-    m = system.m
+    m = engine.system.m
     out: list[TPoly] = []
     seen: set = set()
 
@@ -626,30 +625,33 @@ def isotropy_annihilator(engine: RecurrenceEngine, state: FrameState, n: int):
 
     for poly in determining_annihilator(engine, n):
         emit(poly)
-    max_stratum = n - 1
     for a in range(m):
         for B in mi_up_to(m, n):
-            key = (a, B)
-            value = state.mu_value(key, max_stratum=max_stratum)
-            terms = {(B, a): Q(1)}
-            wrong = False
-            for word, coeff in value.terms.items():
-                if len(word) != 1:
-                    wrong = True
-                    break
-                sym = engine.fc.by_id(word[0])
-                if sym.kind == "omega":
-                    continue
-                if sym.kind != "mc" or not coeff.is_constant():
-                    wrong = True
-                    break
-                k2 = (sym.index[0], sym.index[2])
-                terms[(k2[1], k2[0])] = terms.get((k2[1], k2[0]), Q(0)) - coeff.constant_value()
-            if wrong:
-                continue
-            poly = TPoly(m, terms)
-            emit(poly)
+            poly = _frame_value_tpoly(engine, (a, B), state.mu_value((a, B), max_stratum=n - 1))
+            if poly is not None:
+                emit(poly)
     return out
+
+
+def _frame_value_tpoly(engine: RecurrenceEngine, key: JetKey, value: ExteriorForm):
+    """t^B T^a minus the constant Maurer-Cartan part of the frame value of
+    mu^a_B (omega terms dropped); None when the value has a part of higher
+    degree or a non-constant Maurer-Cartan coefficient."""
+    from .involution import TPoly
+
+    a, B = key
+    terms = {(B, a): Q(1)}
+    for word, coeff in value.terms.items():
+        if len(word) != 1:
+            return None
+        sym = engine.fc.by_id(word[0])
+        if sym.kind == "omega":
+            continue
+        if sym.kind != "mc" or not coeff.is_constant():
+            return None
+        k2 = (sym.index[2], sym.index[0])
+        terms[k2] = terms.get(k2, Q(0)) - coeff.constant_value()
+    return TPoly(engine.system.m, terms)
 
 
 def determining_annihilator(engine: RecurrenceEngine, n: int):
@@ -802,31 +804,13 @@ def _field_linear_to_tpoly(engine: RecurrenceEngine, phi):
 def frame_annihilator_full(engine: RecurrenceEngine, state: FrameState, n: int):
     """Frame-derived isotropy annihilator without the stratum restriction or
     the per-element degree filter (input to the dimension checks)."""
-    from .involution import TPoly
-
-    system = engine.system
-    m = system.m
+    m = engine.system.m
     out = list(determining_annihilator(engine, n + 2))
     for a in range(m):
         for B in mi_up_to(m, n):
-            value = state.mu_value((a, B))
-            terms = {(B, a): Q(1)}
-            wrong = False
-            for word, coeff in value.terms.items():
-                if len(word) != 1:
-                    wrong = True
-                    break
-                sym = engine.fc.by_id(word[0])
-                if sym.kind == "omega":
-                    continue
-                if sym.kind != "mc" or not coeff.is_constant():
-                    wrong = True
-                    break
-                key2 = (sym.index[0], sym.index[2])
-                terms[(key2[1], key2[0])] = terms.get((key2[1], key2[0]), Q(0)) - coeff.constant_value()
-            if wrong:
-                continue
-            out.append(TPoly(m, terms))
+            poly = _frame_value_tpoly(engine, (a, B), state.mu_value((a, B)))
+            if poly is not None:
+                out.append(poly)
     return [p for p in out if not p.is_zero()]
 
 
@@ -843,17 +827,14 @@ def classify_ode(jc: JetContext, F: RatFn):
     inv1, inv2 = relative_invariant_numerators(jc)
     sub1 = _substitute_ode(jc, inv1, F)
     sub2 = _substitute_ode(jc, inv2, F)
-    first = not sub1.is_zero()
-    second = not sub2.is_zero()
-    if first and second:
-        label = "I"
-    elif not first and second:
-        label = "II"
-    elif first and not second:
-        label = "III"
-    else:
-        label = "IV"
-    return label, sub1, sub2
+    return _branch_label(sub1, sub2), sub1, sub2
+
+
+def _branch_label(inv1: RatFn, inv2: RatFn) -> str:
+    """I: both relative invariants nonzero; II: only the second; III: only
+    the first; IV: both vanish."""
+    first, second = not inv1.is_zero(), not inv2.is_zero()
+    return {(True, True): "I", (False, True): "II", (True, False): "III", (False, False): "IV"}[first, second]
 
 
 def relative_invariant_numerators(jc: JetContext):
@@ -942,17 +923,7 @@ def oracle_classify_ode(jc: JetContext, F: RatFn):
     Fup = part(Fu, pv)
     Fuu = part(Fu, uv)
     inv2 = dhat(dhat(Fpp)) - 4 * dhat(Fup) - Fp * dhat(Fpp) + 6 * Fuu - 3 * Fu * Fpp + 4 * Fp * Fup
-    first = not inv1.is_zero()
-    second = not inv2.is_zero()
-    if first and second:
-        label = "I"
-    elif not first and second:
-        label = "II"
-    elif first and not second:
-        label = "III"
-    else:
-        label = "IV"
-    return label, inv1, inv2
+    return _branch_label(inv1, inv2), inv1, inv2
 
 
 # -- numeric signature comparison -----------------------------------------------------

@@ -34,6 +34,7 @@ from typing import Optional
 
 from .exact import ExactError, RatFn, format_ratfn
 from .frames import CrossSection
+from .involution import SPoly, TPoly
 from .jets import Coord, Counts, JetContext, coord_u, coord_x, mi_order, mi_zero
 from .pseudogroup import DeterminingSystem, LinComb
 
@@ -71,6 +72,21 @@ class ProblemFile:
 
     def build(self):
         return self.jc, self.system, self.cross_section
+
+    def module_generators(self, letter: str) -> list:
+        """The ``tpoly`` (``letter`` "t") or ``spoly`` ("s") block as
+        ``TPoly`` or ``SPoly`` module elements."""
+        if letter == "t":
+            decls, element = self.tpoly, lambda terms: TPoly(len(self.base), terms)
+        else:
+            decls, element = self.spoly, lambda terms: SPoly(len(self.independent), len(self.dependent), {}, terms)
+        out = []
+        for decl in decls:
+            poly = element({})
+            for counts, target, coeff in decl.terms:
+                poly = poly + element({(counts, target): coeff})
+            out.append(poly)
+        return out
 
     @property
     def relation_count(self) -> int:
@@ -323,10 +339,7 @@ def parse_problem(text: str) -> ProblemFile:
     toks = _Tokens(text)
     pf = ProblemFile()
     pf.source = text
-    raw_det: list[list] = []
-    raw_xsec: list[list] = []
-    raw_tpoly: list[list] = []
-    raw_spoly: list[list] = []
+    raw: dict[str, list] = {"det": [], "xsec": [], "tpoly": [], "spoly": []}
     while toks.peek()[0] != "eof":
         kind, val, line, col = toks.next()
         if val == "base":
@@ -345,11 +358,10 @@ def parse_problem(text: str) -> ProblemFile:
             while not toks.at(";"):
                 pf.coeffs.append(toks.next()[1])
             toks.expect(";")
-        elif val in ("det", "xsec", "tpoly", "spoly"):
-            sink = {"det": raw_det, "xsec": raw_xsec, "tpoly": raw_tpoly, "spoly": raw_spoly}[val]
+        elif val in raw:
             toks.expect("{")
             while not toks.at("}"):
-                sink.append(_capture_statement(toks))
+                raw[val].append(_capture_statement(toks))
             toks.expect("}")
         elif val == "print":
             toks.expect("{")
@@ -367,7 +379,7 @@ def parse_problem(text: str) -> ProblemFile:
         else:
             raise ParseError(f"unknown declaration {val!r}", line, col)
     _validate_declarations(pf)
-    _build(pf, raw_det, raw_xsec, raw_tpoly, raw_spoly)
+    _build(pf, raw)
     return pf
 
 
@@ -401,7 +413,7 @@ def _capture_statement(toks: _Tokens) -> list:
         out.append(toks.next())
 
 
-def _build(pf: ProblemFile, raw_det, raw_xsec, raw_tpoly, raw_spoly) -> None:
+def _build(pf: ProblemFile, raw: dict[str, list]) -> None:
     jc = JetContext(pf.independent, pf.dependent)
     base_coords = [coord_x(i) for i in range(len(pf.independent))]
     base_coords += [coord_u(a, mi_zero(len(pf.independent))) for a in range(len(pf.dependent))]
@@ -409,7 +421,7 @@ def _build(pf: ProblemFile, raw_det, raw_xsec, raw_tpoly, raw_spoly) -> None:
         pf.coeffs = [f"zeta{name}" for name in pf.base]
     fields = [jc.field(n, base_coords) for n in pf.coeffs]
     system = DeterminingSystem(jc, fields)
-    for stmt in raw_det:
+    for stmt in raw["det"]:
         toks = _Tokens(tokens=stmt + [("op", ";", -1, -1)])
         parser = _ExprParser(toks, pf, jc)
         kind, stem, line, col = toks.next()
@@ -436,12 +448,11 @@ def _build(pf: ProblemFile, raw_det, raw_xsec, raw_tpoly, raw_spoly) -> None:
             raise ParseError(f"trailing token {v!r}", l, c)
         system.add_relation((fidx, B), value.linear)
     cs = CrossSection(jc)
-    for stmt in raw_xsec:
+    for stmt in raw["xsec"]:
         _build_xsec_statement(pf, jc, cs, stmt)
-    for stmt in raw_tpoly:
-        pf.tpoly.append(_build_tpoly_statement(pf, stmt))
-    for stmt in raw_spoly:
-        pf.spoly.append(_build_spoly_statement(pf, stmt))
+    for block, letter, varnames, targets in _module_blocks(pf):
+        for stmt in raw[f"{letter}poly"]:
+            block.append(_build_module_statement(stmt, letter, varnames, targets))
     pf.jc = jc
     pf.system = system
     pf.cross_section = cs
@@ -522,7 +533,19 @@ def _parse_rational(toks) -> Fraction:
     return Fraction(sign * num, den)
 
 
-def _build_tpoly_statement(pf: ProblemFile, stmt: list) -> TPolyDecl:
+def _module_blocks(pf: ProblemFile):
+    """(block, letter, variable names, target names) of the ``tpoly`` and
+    ``spoly`` blocks: t-monomials times T^target over the base, and
+    s-monomials over the independents times S^target over the dependents."""
+    return (
+        (pf.tpoly, "t", pf.base, pf.base),
+        (pf.spoly, "s", pf.independent, pf.dependent),
+    )
+
+
+def _build_module_statement(stmt: list, letter: str, varnames: list[str], targets: list[str]) -> TPolyDecl:
+    """One statement of a module-polynomial block, like ``t_x^2*T^u - T^p;``."""
+    upper = letter.upper()
     toks = _Tokens(tokens=stmt + [("op", ";", -1, -1)])
     terms = []
     sign = 1
@@ -532,17 +555,17 @@ def _build_tpoly_statement(pf: ProblemFile, stmt: list) -> TPolyDecl:
     def flush(line, col):
         nonlocal sign, coeff, pending
         if pending:
-            counts = [0] * len(pf.base)
+            counts = [0] * len(varnames)
             target = None
             for kind, what in pending:
-                if kind == "t":
+                if kind == letter:
                     counts[what[0]] += what[1]
                 else:
                     if target is not None:
-                        raise ParseError("term must be linear in T", line, col)
+                        raise ParseError(f"term must be linear in {upper}", line, col)
                     target = what
             if target is None:
-                raise ParseError("term lacks a T factor", line, col)
+                raise ParseError(f"term lacks {'an' if upper == 'S' else 'a'} {upper} factor", line, col)
             terms.append((tuple(counts), target, Fraction(sign) * coeff))
         sign, coeff, pending = 1, Fraction(1), []
 
@@ -560,87 +583,25 @@ def _build_tpoly_statement(pf: ProblemFile, stmt: list) -> TPolyDecl:
             if toks.at("/"):
                 toks.next()
                 coeff /= int(toks.next()[1])
-        elif val == "t":
+        elif val == letter:
             toks.expect("_")
             kind2, val2, l2, c2 = toks.next()
-            name_counts = _split_compact_subscript(val2, pf.base, l2, c2)
+            name_counts = _split_compact_subscript(val2, varnames, l2, c2)
             exp = 1
             if toks.at("^"):
                 toks.next()
                 exp = int(toks.next()[1])
             for slot, c in enumerate(name_counts):
                 if c:
-                    pending.append(("t", (slot, c * exp)))
-        elif val == "T":
+                    pending.append((letter, (slot, c * exp)))
+        elif val == upper:
             toks.expect("^")
             kind2, val2, l2, c2 = toks.next()
-            if val2 not in pf.base:
+            if val2 not in targets:
                 raise ParseError(f"unknown target {val2!r}", l2, c2)
-            pending.append(("T", pf.base.index(val2)))
+            pending.append((upper, targets.index(val2)))
         else:
-            raise ParseError(f"unexpected token {val!r} in tpoly", line, col)
-    flush(-1, -1)
-    return TPolyDecl(terms)
-
-
-def _build_spoly_statement(pf: ProblemFile, stmt: list) -> TPolyDecl:
-    """s,S-polynomial statements like ``s_x*S^q;`` over the split names."""
-    toks = _Tokens(tokens=stmt + [("op", ";", -1, -1)])
-    terms = []
-    sign = 1
-    coeff = Fraction(1)
-    pending: list = []
-
-    def flush(line, col):
-        nonlocal sign, coeff, pending
-        if pending:
-            counts = [0] * len(pf.independent)
-            target = None
-            for kind, what in pending:
-                if kind == "s":
-                    counts[what[0]] += what[1]
-                else:
-                    if target is not None:
-                        raise ParseError("term must be linear in S", line, col)
-                    target = what
-            if target is None:
-                raise ParseError("term lacks an S factor", line, col)
-            terms.append((tuple(counts), target, Fraction(sign) * coeff))
-        sign, coeff, pending = 1, Fraction(1), []
-
-    while toks.peek()[1] != ";":
-        kind, val, line, col = toks.next()
-        if val == "+":
-            flush(line, col)
-        elif val == "-":
-            flush(line, col)
-            sign = -1
-        elif val == "*":
-            continue
-        elif kind == "num":
-            coeff *= int(val)
-            if toks.at("/"):
-                toks.next()
-                coeff /= int(toks.next()[1])
-        elif val == "s":
-            toks.expect("_")
-            kind2, val2, l2, c2 = toks.next()
-            name_counts = _split_compact_subscript(val2, pf.independent, l2, c2)
-            exp = 1
-            if toks.at("^"):
-                toks.next()
-                exp = int(toks.next()[1])
-            for slot, c in enumerate(name_counts):
-                if c:
-                    pending.append(("s", (slot, c * exp)))
-        elif val == "S":
-            toks.expect("^")
-            kind2, val2, l2, c2 = toks.next()
-            if val2 not in pf.dependent:
-                raise ParseError(f"unknown target {val2!r}", l2, c2)
-            pending.append(("S", pf.dependent.index(val2)))
-        else:
-            raise ParseError(f"unexpected token {val!r} in spoly", line, col)
+            raise ParseError(f"unexpected token {val!r} in {letter}poly", line, col)
     flush(-1, -1)
     return TPolyDecl(terms)
 
@@ -684,10 +645,7 @@ def print_problem(pf: ProblemFile) -> str:
         for (stem, coord), alias in pf.print_aliases.items():
             lines.append(f"  {stem}^{coord} as {alias};")
         lines.append("}")
-    for block, letter, varnames, targets in (
-        (pf.tpoly, "t", pf.base, pf.base),
-        (pf.spoly, "s", pf.independent, pf.dependent),
-    ):
+    for block, letter, varnames, targets in _module_blocks(pf):
         if not block:
             continue
         lines.append(f"{letter}poly {{")

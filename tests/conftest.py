@@ -2,10 +2,8 @@ import pathlib
 
 import pytest
 
-from cartanframes.exterior import diffeo_structure_equations, restrict_to_pseudogroup
-from cartanframes.frames import RecurrenceEngine, normalized_structure_equations
 from cartanframes.problem import parse_problem
-from cartanframes.pseudogroup import lift_system
+from cartanframes.session import Session
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
@@ -14,63 +12,35 @@ def load_problem(name):
     return parse_problem((PROBLEMS / f"{name}.prob").read_text())
 
 
-def make_engine(name):
-    pf = load_problem(name)
-    jc, system, cs = pf.build()
-    mc = lift_system(system)
-    engine = RecurrenceEngine(mc, cs)
-    for (stem, coord), alias in pf.print_aliases.items():
-        if coord in pf.base:
-            engine.fc.mc_names[pf.base.index(coord)] = alias
-    return pf, jc, system, cs, mc, engine
-
-
-class Frame:
-    """An engine together with a computed frame and pulled-back equations."""
-
-    def __init__(self, name, inv_order, mc_order):
-        self.pf, self.jc, self.system, self.cs, self.mc, self.engine = make_engine(name)
-        self.state = self.engine.normalize(inv_order)
-        self.inv_order = inv_order
-        self.mc_order = mc_order
-        fc = self.engine.fc
-        eqs = diffeo_structure_equations(fc, self.system.m, mc_order + 1)
-        self.restricted = restrict_to_pseudogroup(eqs, self.mc, mc_order + 1)
-        self.residual = self.state.residual_keys(mc_order)
-        self.coframe = normalized_structure_equations(
-            self.engine, self.state, self.restricted, keep_mc=self.residual
-        )
-
-    @property
-    def fc(self):
-        return self.engine.fc
+def session(name, order=3, mc_order=2):
+    return Session.load(PROBLEMS / f"{name}.prob", order, mc_order)
 
 
 @pytest.fixture(scope="session")
 def point_universal():
-    return Frame("point", inv_order=5, mc_order=2)
+    return session("point", order=5, mc_order=2)
 
 
 @pytest.fixture(scope="session")
 def point_branch1():
-    return Frame("point_branch1", inv_order=5, mc_order=2)
+    return session("point_branch1", order=5, mc_order=2)
 
 
 @pytest.fixture(scope="session")
 def point_branch4():
-    return Frame("point_branch4", inv_order=6, mc_order=3)
+    return session("point_branch4", order=6, mc_order=3)
 
 
 @pytest.fixture(scope="session")
 def point_order0():
-    return Frame("point_order0", inv_order=0, mc_order=2)
+    return session("point_order0", order=0, mc_order=2)
 
 
 @pytest.fixture(scope="session")
 def contact_frame():
-    return Frame("contact", inv_order=4, mc_order=2)
+    return session("contact", order=4, mc_order=2)
 
 
 @pytest.fixture(scope="session")
 def pj_frame():
-    return Frame("pj", inv_order=3, mc_order=2)
+    return session("pj", order=3, mc_order=2)

@@ -12,8 +12,6 @@ import pytest
 
 from cartanframes.exact import ExactMatrix, rank
 from cartanframes.frames import (
-    CrossSection,
-    RecurrenceEngine,
     classify_ode,
     determining_annihilator,
     frame_annihilator_full,
@@ -35,7 +33,7 @@ from cartanframes.involution import (
     t_span_equal,
 )
 from cartanframes.jets import JetContext
-from conftest import make_engine
+from conftest import session
 
 Q = Fraction
 PASS_LINES = []
@@ -139,8 +137,8 @@ def test_criterion_3_recurrence_fidelity(point_universal):
     from cartanframes.pseudogroup import lift_system
 
     fr = point_universal
-    pf, jc, system, cs, mc, engine0 = make_engine("point")
-    raw = RecurrenceEngine(mc, CrossSection(jc), fc=engine0.fc)
+    s = session("point")
+    jc, raw = s.jc, s.raw_engine
     fc = raw.fc
     P = jc.rvar(jc.invariant_var(("x", 2)))
     w = lambda i: fc.one_form(fc.omega(i))

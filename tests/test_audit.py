@@ -9,7 +9,7 @@ import pytest
 from cartanframes.exact import ExactError, RatFn
 from cartanframes.exterior import exterior_derivative
 from cartanframes.jets import mi_up_to
-from conftest import Frame
+from conftest import session
 
 
 def eligible_coords(engine, inv_order):
@@ -91,7 +91,7 @@ AUDIT_CASES = [
 
 @functools.lru_cache(maxsize=None)
 def _cli_default_frame(spec):
-    return Frame(*spec)
+    return session(*spec)
 
 
 def _frame(request, spec):

@@ -1,5 +1,6 @@
 """Exact arithmetic and deterministic linear algebra."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,13 @@ from cartanframes.exact import (
     InconsistentSystemError,
     Poly,
     RatFn,
+    _entry_is_zero,
     format_poly,
     format_ratfn,
     normal_form,
     ordered_row_echelon,
     poly_gcd,
     rank,
-    rank_by_minors,
     solve_linear,
 )
 
@@ -101,6 +102,46 @@ def test_echelon_idempotent_and_rank_preserving():
     again, piv2 = ordered_row_echelon(ech)
     assert piv == piv2
     assert rank(m) == rank(ech) == len(piv)
+
+
+def rank_by_minors(m: ExactMatrix) -> int:
+    """Independent oracle: largest k with a nonzero k x k minor.
+
+    Exponential; meant for cross-checking small matrices.
+    """
+    best = 0
+    n = min(m.nrows, m.ncols)
+    for k in range(1, n + 1):
+        found = False
+        for rows in itertools.combinations(range(m.nrows), k):
+            for cols in itertools.combinations(range(m.ncols), k):
+                if _minor_det(m, rows, cols) != 0:
+                    found = True
+                    break
+            if found:
+                break
+        if found:
+            best = k
+        else:
+            break
+    return best
+
+
+def _minor_det(m: ExactMatrix, rows, cols):
+    if len(rows) == 1:
+        return m.rows[rows[0]][cols[0]]
+    total = None
+    for j, c in enumerate(cols):
+        entry = m.rows[rows[0]][c]
+        if _entry_is_zero(entry):
+            continue
+        sub = _minor_det(m, rows[1:], cols[:j] + cols[j + 1 :])
+        term = entry * sub * (1 if j % 2 == 0 else -1)
+        total = term if total is None else total + term
+    if total is None:
+        zero = m.rows[rows[0]][cols[0]]
+        return zero - zero
+    return total
 
 
 @given(

@@ -22,7 +22,7 @@ from cartanframes.involution import (
     t_homogeneous_component,
     t_span_equal,
 )
-from conftest import load_problem
+from conftest import load_problem, session
 
 X, U, P, QV = 0, 1, 2, 3
 Z = (0, 0, 0, 0)
@@ -264,7 +264,8 @@ def test_invariantize_parametrized(contact_frame):
     got2 = invariantize_parametrized(fr.engine, p_coeff)
     assert isinstance(got2, TPoly) and got2.is_zero()
     # a free jet coordinate stays an opaque invariant symbol
-    pf, jc2, system2, cs2, mc2, eng2 = __import__("conftest").make_engine("point")
+    s = session("point")
+    jc2, eng2 = s.jc, s.engine
     free = {((0, 0, 0, 0), 0): jc2.rvar(jc2.u_var(0, (0, 0, 4)))}
     got3 = invariantize_parametrized(eng2, free)
     assert isinstance(got3, dict)

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from cartanframes.exterior import ExteriorForm
-from cartanframes.frames import CrossSection, RecurrenceEngine, commutator_invariants
+from cartanframes.frames import commutator_invariants
 from cartanframes.jets import mi_order
-from conftest import make_engine
+from conftest import session
 
 MU, NU = 0, 1
 Z4 = (0, 0, 0, 0)
@@ -37,9 +37,8 @@ def test_order0_recurrences_raw():
     """dX = w^x + mu, dU = w^u + nu, dP = w^p + nu_X + P(nu_U - mu_X) - P^2 mu_U,
     and the printed dQ correction; engine output is the reference for the
     P-linear coefficient of dP."""
-    pf, jc, system, cs, mc, engine = make_engine("point")
-    engine = RecurrenceEngine(mc, CrossSection(jc), fc=engine.fc)
-    fc = engine.fc
+    s = session("point")
+    jc, engine, fc = s.jc, s.raw_engine, s.fc
     P = jc.rvar(jc.invariant_var(("x", 2)))
     Qi = jc.rvar(jc.invariant_var(("u", 0, (0, 0, 0))))
     w = lambda i: fc.one_form(fc.omega(i))
@@ -121,9 +120,9 @@ def test_universal_residual_is_the_five_forms(point_universal):
 def test_branching_report_names_blocking_invariant():
     """Normalizing q_p5 without first fixing q_p4 blocks the mu_U pivot on the
     symbolic coefficient Q_P4: the split the four branches come from."""
-    pf, jc, system, cs, mc, engine = make_engine("point")
-    cs.normalize_coord(("u", 0, (0, 0, 5)), 0)
-    state = engine.normalize(5)
+    s = session("point")
+    s.cs.normalize_coord(("u", 0, (0, 0, 5)), 0)
+    state = s.engine.normalize(5)
     names = {name for item in state.blocked for name in item.blockers}
     assert "Q_P4" in names
 
@@ -380,15 +379,14 @@ def test_structure_route_matches_recurrence_route(point_universal):
 
 
 def test_universal_frame_has_no_blocked_pivots():
-    pf, jc, system, cs, mc, engine = make_engine("point")
-    state = engine.normalize(4)
+    state = session("point").engine.normalize(4)
     assert state.blocked == []
 
 
 def test_phantom_exactness(point_universal, point_branch1, point_order0):
     """Substituting the frame into every phantom recurrence relation gives 0."""
     for fr in (point_order0, point_branch1, point_universal):
-        for order, coord in fr.engine.phantom_subjects(min(fr.inv_order, 4)):
+        for order, coord in fr.engine.phantom_subjects(min(fr.order, 4)):
             reduced = fr.state.reduce(fr.engine.recurrence(coord).rhs)
             assert reduced.is_zero(), (coord, reduced.pretty())
 

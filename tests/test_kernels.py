@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cartanframes.exact import ExactError, Poly, RatFn, _merge_exp
 from cartanframes.frames import CrossSection, RecurrenceEngine
 from cartanframes.jets import mi_up_to
-from conftest import make_engine
+from conftest import session
 
 
 def oracle_total_derivative(jc, f: Poly, i: int) -> Poly:
@@ -55,7 +55,8 @@ def _engine():
     """Point-transformation engine with a cross-section that freezes some
     coordinates at zero, some at nonzero (also non-integer) constants, and
     leaves the rest free."""
-    _, jc, system, _, mc, _ = make_engine("point")
+    s = session("point")
+    jc, mc = s.jc, s.mc
     cs = CrossSection(jc)
     cs.normalize_coord(("x", 0), Fraction(1, 2))
     cs.normalize_coord(("x", 1), 0)
@@ -144,7 +145,7 @@ def test_iota_rejects_a_non_monomial_value():
 
 
 def test_recurrence_coefficients_stay_exact():
-    engine = make_engine("point")[-1]
+    engine = session("point").engine
     for J in mi_up_to(3, 2):
         assert_exact(engine.generator.prolong(0, J))
         rhs = engine.recurrence(("u", 0, J)).rhs

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -239,3 +240,82 @@ def test_cli_import_skips_dataclasses_and_inspect():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("priority", ["x,zz", "x", "x,y,z,x"])
+def test_cli_priority_must_permute_the_base(capsys, priority):
+    code, out = _run_cli(
+        "run", str(PROBLEMS / "twoform_case1.prob"), "cartan-test", "--m", "3", "--priority", priority
+    )
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: --priority") and "permutation" in err
+
+
+def test_cli_priority_permutation_accepted():
+    code, out = _run_cli(
+        "run", str(PROBLEMS / "twoform_case1.prob"), "cartan-test", "--m", "3", "--priority", "z,y,x"
+    )
+    assert code == 0 and "cartan.priority = z,y,x" in out
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file or directory"),
+        ("{not json", "malformed JSON"),
+        ('{"parameters": ["s"], "S": {"grids": [], "invariants": []}}', "missing key 'Sbar'"),
+        ('{"S": {}, "Sbar": {}}', "missing key 'parameters'"),
+        ('{"parameters": ["s"], "S": {"grids": [], "invariants": []}, "Sbar": {"grids": []}}', "missing key 'Sbar.invariants'"),
+        ("[1, 2]", "missing key 'parameters'"),
+    ],
+)
+def test_cli_signature_data_diagnostics(tmp_path, capsys, content, message):
+    data = tmp_path / "data.json"
+    if content is not None:
+        data.write_text(content)
+    code, out = _run_cli("run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(data))
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: --data {data}: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "rhs, message",
+    [("p^4 + zz", "--rhs:1:8: unknown symbol 'zz'"), ("p^4 p", "--rhs:1:5: trailing token 'p'")],
+)
+def test_cli_rhs_parse_error_is_located_in_the_option(capsys, rhs, message):
+    code, out = _run_cli("run", str(PROBLEMS / "point.prob"), "classify-ode", "--rhs", rhs)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ("tpoly { t_x*T^x*T^y; }", "term must be linear in T"),
+        ("tpoly { t_x; }", "term lacks a T factor"),
+        ("tpoly { s_x*T^x; }", "unexpected token 's' in tpoly"),
+        ("tpoly { T^w; }", "unknown target 'w'"),
+        ("spoly { s_x*S^z*S^z; }", "term must be linear in S"),
+        ("spoly { s_y; }", "term lacks an S factor"),
+        ("spoly { t_x*S^z; }", "unexpected token 't' in spoly"),
+        ("spoly { S^x; }", "unknown target 'x'"),
+    ],
+)
+def test_module_polynomial_parse_errors(block, message):
+    with pytest.raises(ParseError, match=message):
+        parse_problem(f"base x y z;\nsplit independent x y dependent z;\n{block}\n")
+
+
+def test_module_generators_sum_repeated_terms():
+    pf = parse_problem(
+        "base x y z;\nsplit independent x y dependent z;\n"
+        "tpoly { t_x*T^y + 2*t_x*T^y - 3*t_x*T^y + T^z; }\n"
+        "spoly { s_x*s_y*S^z + 1/2*s_y*s_x*S^z; }\n"
+    )
+    (t,) = pf.module_generators("t")
+    assert t.m == 3 and t.terms == {((0, 0, 0), 2): 1}
+    (s,) = pf.module_generators("s")
+    assert (s.p, s.q) == (2, 1) and s.terms == {((1, 1), 0): Fraction(3, 2)}

@@ -14,7 +14,7 @@ from cartanframes.pseudogroup import (
     lift_system,
     prolonged_action,
 )
-from conftest import load_problem, make_engine
+from conftest import load_problem
 
 
 @pytest.fixture(scope="module")
