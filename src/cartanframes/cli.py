@@ -231,8 +231,7 @@ def cmd_groebner(pf: ProblemFile, args, report: Report) -> int:
 
 def cmd_classify(pf: ProblemFile, args, report: Report) -> int:
     if args.rhs is None:
-        report.add("classify.error", "missing --rhs")
-        return 1
+        raise UsageError("missing --rhs")
     jc = JetContext(["x", "u", "p"], ["q"])
     F = _parse_option_expr(jc, "--rhs", args.rhs)
     label, i1, i2 = classify_ode(jc, F)
@@ -266,23 +265,29 @@ def _parse_option_expr(jc: JetContext, option: str, text: str) -> RatFn:
 
 def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
     if args.data is None:
-        report.add("signature.error", "missing --data")
-        return 1
-    data = _load_signature_data(args.data)
+        raise UsageError("missing --data")
+    path = args.data
+    data = _load_signature_data(path)
     params = data["parameters"]
-    n = int(data.get("order", 1))
-    tol = float(args.tol if args.tol is not None else data.get("tol", 1e-9))
+    n = _data_number(path, "order", data.get("order", 1), int)
+    tol = args.tol if args.tol is not None else _data_number(path, "tol", data.get("tol", 1e-9), float)
 
-    def build(side):
+    def build(name):
+        side = data[name]
         jc = JetContext(params, ["w"])
-        grids = [list(map(float, g)) for g in side["grids"]]
-        exprs = [_parse_option_expr(jc, "--data", text) for text in side["invariants"]]
+        grids, invariants = side["grids"], side["invariants"]
+        if not isinstance(grids, list) or not all(isinstance(g, list) for g in grids):
+            raise UsageError(f"--data {path}: {name}.grids is not a list of lists of numbers")
+        if not isinstance(invariants, list) or not all(isinstance(t, str) for t in invariants):
+            raise UsageError(f"--data {path}: {name}.invariants is not a list of strings")
+        grids = [[_data_number(path, f"{name}.grids[{i}][{j}]", v, float) for j, v in enumerate(g)] for i, g in enumerate(grids)]
+        exprs = [_parse_option_expr(jc, "--data", text) for text in invariants]
         funcs = [_to_callable(jc, params, e) for e in exprs]
         derive = [_partial_operator(jc, params, i) for i in range(len(params))]
         return SampledSubmanifold(grids, funcs, derive)
 
-    S = build(data["S"])
-    Sbar = build(data["Sbar"])
+    S = build("S")
+    Sbar = build("Sbar")
     result = signature_compare(S, Sbar, n, tol)
     report.add("signature.ranks", ",".join(str(r) for r in result.ranks))
     report.add("signature.order", result.order if result.order is not None else "undetermined")
@@ -309,6 +314,14 @@ def _load_signature_data(path: str) -> dict:
                 raise UsageError(f"--data {path}: missing key {key!r}")
             owner = owner[part]
     return data
+
+
+def _data_number(path: str, key: str, value, convert):
+    """``convert(value)`` for a number read from the ``--data`` file."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"--data {path}: {key} is not a number: {json.dumps(value)}") from None
 
 
 def _to_callable(jc: JetContext, params, expr: RatFn):

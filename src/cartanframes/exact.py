@@ -59,6 +59,7 @@ class Context:
     def __init__(self):
         self._vars: list[Variable] = []
         self._by_key: dict[tuple, Variable] = {}
+        self._consts: dict[Fraction, "RatFn"] = {}
 
     def variable(self, name: str, skey: Optional[tuple] = None, intern_key=None) -> Variable:
         """Register (or fetch) a variable.  ``intern_key`` defaults to the name."""
@@ -94,9 +95,15 @@ class Context:
 
     def ratfn(self, const: int | Fraction = 0) -> "RatFn":
         """A constant in canonical form: integer numerator over the positive
-        denominator, exactly as ``normal_form`` would store it."""
-        c = Q(const)
-        return RatFn(self.poly(c.numerator), self.poly(c.denominator), _normalized=True)
+        denominator, exactly as ``normal_form`` would store it.
+
+        There is one instance per value (an int and the equal Fraction share
+        it); ``Poly`` and ``RatFn`` are never mutated, so sharing is safe."""
+        r = self._consts.get(const)
+        if r is None:
+            c = Q(const)
+            r = self._consts[c] = RatFn(self.poly(c.numerator), self.poly(c.denominator), _normalized=True)
+        return r
 
 
 def _merge_exp(a: ExpKey, b: ExpKey) -> ExpKey:
@@ -491,7 +498,13 @@ def _prs_gcd(ctx: Context, var: Variable, a: dict[int, Poly], b: dict[int, Poly]
 
 class RatFn:
     """gcd-reduced rational function; the canonical representative has a
-    denominator with positive leading coefficient."""
+    denominator with positive leading coefficient.
+
+    Invariant: ``num`` and ``den`` of every instance are coprime.
+    ``_reduce_pair`` makes them so; the constructions that skip it
+    (``_normalized=True``) keep it: ``Context.ratfn`` (constant over
+    constant), ``poly / 1`` wrappers, negation and ``_times_constant``.
+    Multiplying by a constant relies on it to skip the gcd."""
 
     __slots__ = ("num", "den")
 
@@ -549,13 +562,15 @@ class RatFn:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.ctx.ratfn(0)
-            return RatFn(self.num * other, self.den)
+            return _times_constant(self, other)
         if isinstance(other, Poly):
             other = RatFn(other, self.ctx.poly(1), _normalized=True)
         if not isinstance(other, RatFn):
             return NotImplemented
+        if other.is_constant():
+            return _times_constant(self, other.constant_value())
+        if self.is_constant():
+            return _times_constant(other, self.constant_value())
         return RatFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -594,11 +609,34 @@ def _primitive_scale(coeffs: list[Fraction]) -> Fraction:
 def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.is_zero():
         return num, den.ctx.poly(1)
+    if num.is_constant() and den.is_constant():
+        # a constant shares the polynomials of the interned one
+        const = num.ctx.ratfn(num.constant_value() / den.constant_value())
+        return const.num, const.den
     g = poly_gcd(num, den)
     if not (g.is_constant() and g.constant_value() == 1):
         num = _poly_divmod_exact(num, g)
         den = _poly_divmod_exact(den, g)
-    # Scale to an integer-primitive pair, then sign-normalize.
+    return _primitive_pair(num, den)
+
+
+def _times_constant(f: RatFn, c: int | Fraction) -> RatFn:
+    """``f * c`` for a scalar ``c``.  Multiplying by a unit cannot change the
+    gcd of a coprime ``num``/``den`` pair (see ``RatFn``), so only the scaling
+    and the sign step of ``_reduce_pair`` are redone; a constant product is
+    the interned constant."""
+    if not c:
+        return f.ctx.ratfn(0)
+    if f.is_constant():
+        return f.ctx.ratfn(f.constant_value() * c)
+    num, den = _primitive_pair(f.num if c == 1 else f.num * c, f.den)
+    if num is f.num and den is f.den:
+        return f
+    return RatFn(num, den, _normalized=True)
+
+
+def _primitive_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Scale a coprime pair to an integer-primitive one, then sign-normalize."""
     scale = _primitive_scale(list(num.terms.values()) + list(den.terms.values()))
     if scale != 1:
         num, den = num * scale, den * scale

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from .exact import ExactError, Q, RatFn
+from .exact import ExactError, Q, RatFn, _add_term
 from .jets import Counts, JetContext, mi_bump, mi_factorial, mi_order, mi_up_to, mi_zero
 
 
@@ -62,7 +62,9 @@ class FormContext:
         return self._intern("omega", (i,), f"w^{self.jc.independents[i]}")
 
     def mc(self, a: int, B: Counts) -> FormSymbol:
-        return self._intern("mc", (a, mi_order(B), B), self._mc_name(a, B))
+        index = (a, mi_order(B), B)
+        sym = self._by_key.get(("mc", index))
+        return sym if sym is not None else self._intern("mc", index, self._mc_name(a, B))
 
     def gen(self, name: str) -> FormSymbol:
         return self._intern("gen", (name,), name)
@@ -98,6 +100,16 @@ class FormContext:
 
 
 Word = tuple[int, ...]
+
+
+def _accumulate(terms: dict[Word, RatFn], word: Word, c: RatFn) -> None:
+    """terms[word] += c, dropping the word if the sum vanishes."""
+    s = terms.get(word)
+    s = c if s is None else s + c
+    if s.is_zero():
+        terms.pop(word, None)
+    else:
+        terms[word] = s
 
 
 def _merge_words(fc: FormContext, wa: Word, wb: Word) -> Optional[tuple[Word, int]]:
@@ -152,12 +164,7 @@ class ExteriorForm:
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _accumulate(out, w, c)
         return ExteriorForm(self.fc, out)
 
     def __neg__(self):
@@ -181,13 +188,7 @@ class ExteriorForm:
                 if merged is None:
                     continue
                 word, sign = merged
-                c = ca * cb if sign > 0 else -(ca * cb)
-                s = out.get(word)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(word, None)
-                else:
-                    out[word] = s
+                _accumulate(out, word, ca * cb if sign > 0 else -(ca * cb))
         return ExteriorForm(self.fc, out)
 
     def degree_part(self, k: int) -> "ExteriorForm":
@@ -245,7 +246,7 @@ def substitute(
     """Replace symbols by one-forms (with signs handled by re-wedging) and
     apply a coefficient substitution."""
     fc = form.fc
-    out = fc.form()
+    out: dict[Word, RatFn] = {}
     for word, c in form.terms.items():
         if coeff_sub is not None:
             c = coeff_sub(c)
@@ -258,8 +259,9 @@ def substitute(
             if piece.is_zero():
                 break
         else:
-            out = out + piece
-    return out
+            for w, v in piece.terms.items():
+                _accumulate(out, w, v)
+    return ExteriorForm(fc, out)
 
 
 def exterior_derivative(
@@ -373,33 +375,49 @@ def diffeo_structure_equations(fc: FormContext, m: int, N: int) -> EquationSet:
 
     Produces d(sigma^a) for each a and d(mu^a_B) for #B <= N-1 by expanding
     the Maurer-Cartan power-series identity and matching coefficients of the
-    formal parameters degree by degree.
+    formal parameters degree by degree.  Every coefficient is a rational
+    constant, so each right side is summed as ``{(sid1, sid2): Fraction}``
+    and turned into ``RatFn``s once.
     """
     jc = fc.jc
     eqs = EquationSet(fc)
-    one = jc.ratfn(1)
+
+    def form(rhs: dict[Word, Q]) -> ExteriorForm:
+        return ExteriorForm(fc, {w: jc.ratfn(c) for w, c in rhs.items()})
+
+    # Symbols are registered (and so numbered) in the order the identity
+    # names them: the mu symbol of each wedge before its partner.
     for b in range(m):
-        rhs = fc.form()
+        rhs: dict[Word, Q] = {}
         for a in range(m):
-            mu_ba = fc.one_form(fc.mc(b, mi_bump(mi_zero(m), a)))
-            rhs = rhs + mu_ba.wedge(fc.one_form(fc.sigma(a)))
-        eqs.set(fc.sigma(b), rhs)
+            mu_ba = fc.mc(b, mi_bump(mi_zero(m), a))
+            _add_wedge(rhs, mu_ba, fc.sigma(a), 1)
+        eqs.set(fc.sigma(b), form(rhs))
     for b in range(m):
         for B in mi_up_to(m, max(N - 1, 0)):
-            rhs = fc.form()
+            rhs = {}
             fact_B = mi_factorial(B)
             for a in range(m):
                 # B1 = B, B2 = 0 term: -(1/B!) mu^b_{B+e_a} wedge sigma^a, scaled by B!
-                lead = fc.one_form(fc.mc(b, mi_bump(B, a)))
-                rhs = rhs + fc.one_form(fc.sigma(a)).wedge(lead)
+                lead = fc.mc(b, mi_bump(B, a))
+                _add_wedge(rhs, fc.sigma(a), lead, 1)
                 for B1 in _splits_below(B):
                     B2 = tuple(x - y for x, y in zip(B, B1))
                     coeff = Q(fact_B, mi_factorial(B1) * mi_factorial(B2))
-                    left = fc.one_form(fc.mc(b, mi_bump(B1, a)))
-                    right = fc.one_form(fc.mc(a, B2))
-                    rhs = rhs + left.wedge(right).scale(coeff)
-            eqs.set(fc.mc(b, B), rhs)
+                    left = fc.mc(b, mi_bump(B1, a))
+                    _add_wedge(rhs, left, fc.mc(a, B2), coeff)
+            eqs.set(fc.mc(b, B), form(rhs))
     return eqs
+
+
+def _add_wedge(rhs: dict[Word, Q], s1: FormSymbol, s2: FormSymbol, c) -> None:
+    """rhs += c * s1 ^ s2 over two-symbol words in ``skey`` order: a swap
+    flips the sign, and a repeated symbol gives zero."""
+    if s1 is s2:
+        return
+    if s2.skey < s1.skey:
+        s1, s2, c = s2, s1, -c
+    _add_term(rhs, (s1.sid, s2.sid), c)
 
 
 def _splits_below(B: Counts) -> list[Counts]:
@@ -421,10 +439,10 @@ def restrict_to_pseudogroup(eqs: EquationSet, mcrel, order: int) -> EquationSet:
     def mc_form(key) -> ExteriorForm:
         if mcrel.is_basis(key):
             return fc.one_form(fc.mc(key[0], key[1]))
-        out = fc.form()
+        out: dict[Word, RatFn] = {}
         for k2, c in mcrel.relation(key).items():
-            out = out + fc.one_form(fc.mc(k2[0], k2[1])).scale(c)
-        return out
+            _accumulate(out, (fc.mc(k2[0], k2[1]).sid,), c)
+        return ExteriorForm(fc, out)
 
     mapping: dict[int, ExteriorForm] = {}
     for sid in set().union(*[rhs.symbols() for rhs in eqs.equations.values()]) if eqs.equations else set():

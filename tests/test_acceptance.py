@@ -11,14 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cartanframes.exact import ExactMatrix, rank
-from cartanframes.frames import (
-    classify_ode,
-    determining_annihilator,
-    frame_annihilator_full,
-    isotropy_annihilator,
-    oracle_classify_ode,
-    pstar_basis,
-)
+from cartanframes.frames import classify_ode, determining_annihilator, isotropy_annihilator, oracle_classify_ode
 from cartanframes.involution import (
     SPoly,
     TPoly,
@@ -34,6 +27,7 @@ from cartanframes.involution import (
 )
 from cartanframes.jets import JetContext
 from conftest import session
+from isotropy import frame_annihilator_full, pstar_basis
 
 Q = Fraction
 PASS_LINES = []

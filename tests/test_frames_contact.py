@@ -6,13 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartanframes.frames import (
-    determining_annihilator,
-    frame_annihilator_full,
-    isotropy_annihilator,
-    pstar_basis,
-    restrict_targets,
-)
+from cartanframes.frames import determining_annihilator, isotropy_annihilator
 from cartanframes.involution import (
     TPoly,
     annihilator_dimension_check,
@@ -23,6 +17,7 @@ from cartanframes.involution import (
     t_span_equal,
 )
 from conftest import load_problem, session
+from isotropy import _field_linear_to_tpoly, frame_annihilator_full, invariantize_parametrized, pstar_basis, restrict_targets
 
 X, U, P, QV = 0, 1, 2, 3
 Z = (0, 0, 0, 0)
@@ -154,7 +149,6 @@ def test_U_equals_J(contact_frame):
     """H of the prolonged annihilator agrees with the beta-preimage of the
     symbol module, degree by degree (both trivial here, and equal)."""
     from cartanframes.exact import ExactMatrix, rank
-    from cartanframes.frames import _field_linear_to_tpoly
     from cartanframes.involution import (
         BetaMap,
         SPoly,
@@ -250,7 +244,6 @@ def test_pj_d_squared(pj_frame):
 def test_invariantize_parametrized(contact_frame):
     """Constant coefficients pass through; a coefficient normalized by the
     cross-section freezes to its constant; a free jet becomes a symbol."""
-    from cartanframes.frames import invariantize_parametrized
     from cartanframes.involution import TPoly
 
     fr = contact_frame

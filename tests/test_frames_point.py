@@ -412,8 +412,8 @@ def test_trivial_isotropy_yields_full_annihilator(point_branch1):
     """A fully normalizing frame annihilates every generator direction: the
     uncapped annihilator spans all of T^{<=1} (the presentation-capped variant
     reports only the stratum-zero relations by design)."""
-    from cartanframes.frames import frame_annihilator_full
     from cartanframes.involution import t_degree_filter, t_span_dim
+    from isotropy import frame_annihilator_full
 
     polys = frame_annihilator_full(point_branch1.engine, point_branch1.state, 1)
     filtered = t_degree_filter(polys, 4, 1)

@@ -1,16 +1,26 @@
-"""The recurrence hot path kernels against the straightforward algorithms they
-replaced: the total derivative as a sum over variables of
-``partial(f, v) * D_i(v)``, and invariantization as a product of ``RatFn``s."""
+"""The hot path kernels against the straightforward algorithms they replaced:
+the total derivative as a sum over variables of ``partial(f, v) * D_i(v)``,
+invariantization as a product of ``RatFn``s, the product by a constant
+through the full gcd normalization, and the structure equations, the
+pull-back and the restriction to a pseudo-group as sums of wedges."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cartanframes.exact import ExactError, Poly, RatFn, _merge_exp
+from cartanframes.exact import ExactError, Poly, Q, RatFn, _merge_exp, normal_form
+from cartanframes.exterior import (
+    EquationSet,
+    ExteriorForm,
+    FormContext,
+    diffeo_structure_equations,
+    restrict_to_pseudogroup,
+)
 from cartanframes.frames import CrossSection, RecurrenceEngine
-from cartanframes.jets import mi_up_to
+from cartanframes.jets import JetContext, mi_bump, mi_factorial, mi_up_to, mi_zero
 from conftest import session
 
 
@@ -170,3 +180,220 @@ exp_keys = st.dictionaries(st.integers(min_value=0, max_value=6), st.integers(mi
 def test_merge_exp_matches_dict_oracle(a, b):
     assert _merge_exp(a, b) == oracle_merge_exp(a, b)
     assert _merge_exp(b, a) == oracle_merge_exp(a, b)
+
+
+# -- products by a constant ------------------------------------------------------
+
+constants = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+def small_polys():
+    """Polynomials of degree at most 2 in two variables: the gcd of a random
+    pair stays cheap."""
+    x, y = JC.pvar(JC.x_var(0)), JC.pvar(JC.x_var(1))
+    monos = [JC.poly(1), x, y, x * x, x * y, y * y]
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return st.lists(coeffs, min_size=6, max_size=6).map(lambda cs: sum((m * c for m, c in zip(monos, cs)), JC.poly(0)))
+
+
+def plain_product(f: RatFn, g: RatFn) -> RatFn:
+    """The product through the full gcd normalization."""
+    return RatFn(f.num * g.num, f.den * g.den)
+
+
+def assert_same_ratfn(got: RatFn, want: RatFn):
+    assert (got.num, got.den) == (want.num, want.den)
+    assert hash(got) == hash(want)
+    assert_exact(got.num, got.den)
+
+
+@given(small_polys(), small_polys().filter(bool), constants, st.booleans())
+@settings(max_examples=100, deadline=None)
+@example(JC.pvar(JC.x_var(0)) * 3 + JC.poly(1), JC.poly(1) - JC.pvar(JC.x_var(1)) * 2, Fraction(-3, 4), False)
+@example(JC.pvar(JC.x_var(0)), JC.pvar(JC.x_var(1)) * -2 + JC.poly(1), Fraction(0), False)
+@example(JC.pvar(JC.x_var(0)) * Fraction(1, 2), JC.poly(1), Fraction(-2), True)
+def test_product_by_a_constant_matches_the_normalized_product(num, den, c, wrap):
+    """``f * c`` and ``c * f`` skip the gcd; the result must still be the
+    normal form of the product.  The denominators are non-monic and may lead
+    with a negative coefficient before normalization; ``wrap`` also covers a
+    polynomial over 1 with fractional coefficients, which is coprime but not
+    integer-primitive."""
+    f = RatFn(num, JC.poly(1), _normalized=True) if wrap else RatFn(num, den)
+    k = JC.ratfn(c)
+    want = normal_form(plain_product(f, k))
+    for got in (f * k, k * f, f * c, c * f):
+        assert_same_ratfn(got, want)
+
+
+@given(constants, constants)
+@settings(max_examples=50, deadline=None)
+def test_product_of_constants_is_the_interned_constant(a, b):
+    assert JC.ratfn(a) * JC.ratfn(b) is JC.ratfn(a * b)
+    assert JC.ratfn(a) * b is JC.ratfn(a * b)
+
+
+@given(constants.filter(bool), constants.filter(bool))
+@settings(max_examples=50, deadline=None)
+def test_a_constant_quotient_shares_the_interned_polynomials(a, b):
+    got = RatFn(JC.poly(a), JC.poly(b))
+    want = JC.ratfn(a / b)
+    assert got.num is want.num and got.den is want.den
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_product_by_a_constant_runs_no_gcd(monkeypatch):
+    import cartanframes.exact
+
+    f = RatFn(JC.pvar(JC.x_var(0)) * 2 + JC.poly(1), JC.pvar(JC.x_var(1)) * -3)
+    k = JC.ratfn(Fraction(-2, 3))
+    monkeypatch.setattr(cartanframes.exact, "poly_gcd", _fail)
+    assert f * k == k * f == f * Fraction(-2, 3)
+    assert JC.ratfn(1) * f is f
+
+
+def test_constants_are_interned_per_value():
+    ctx = JC.ctx
+    assert ctx.ratfn(Fraction(2, 4)) is ctx.ratfn(Fraction(1, 2))
+    assert ctx.ratfn(3) is ctx.ratfn(Fraction(6, 2))
+    assert ctx.ratfn(0) is ctx.ratfn(Fraction(0))
+    assert JetContext(["x"], ["u"]).ratfn(1) is not ctx.ratfn(1)
+
+
+def test_interned_constants_survive_the_arithmetic_that_uses_them():
+    ctx = JC.ctx
+    x = JC.rvar(JC.x_var(0))
+    f = RatFn(JC.pvar(JC.x_var(0)) * 2 + JC.poly(1), JC.pvar(JC.x_var(1)) * -3)
+    values = [Fraction(-3, 2), Fraction(0), Fraction(1), Fraction(-1), Fraction(5)]
+    before = {v: (dict(ctx.ratfn(v).num.terms), dict(ctx.ratfn(v).den.terms)) for v in values}
+    for v in values:
+        k = ctx.ratfn(v)
+        for g in (f, x, k, ctx.ratfn(2)):
+            k * g, g * k, k + g, g + k, k - g, g - k, -k, k * v, g * v
+            if g:
+                k / g
+    for v in values:
+        k = ctx.ratfn(v)
+        assert (k.num.terms, k.den.terms) == before[v]
+        assert k.constant_value() == v
+
+
+# -- structure equations, pull-back and restriction ------------------------------
+
+
+def _splits_below(B):
+    return [B1 for B1 in itertools.product(*[range(c + 1) for c in B]) if B1 != B]
+
+
+def oracle_diffeo_structure_equations(fc, m, N):
+    """The Maurer-Cartan identity summed one scaled wedge at a time."""
+    eqs = EquationSet(fc)
+    for b in range(m):
+        rhs = fc.form()
+        for a in range(m):
+            mu_ba = fc.one_form(fc.mc(b, mi_bump(mi_zero(m), a)))
+            rhs = rhs + mu_ba.wedge(fc.one_form(fc.sigma(a)))
+        eqs.set(fc.sigma(b), rhs)
+    for b in range(m):
+        for B in mi_up_to(m, max(N - 1, 0)):
+            rhs = fc.form()
+            fact_B = mi_factorial(B)
+            for a in range(m):
+                lead = fc.one_form(fc.mc(b, mi_bump(B, a)))
+                rhs = rhs + fc.one_form(fc.sigma(a)).wedge(lead)
+                for B1 in _splits_below(B):
+                    B2 = tuple(x - y for x, y in zip(B, B1))
+                    coeff = Q(fact_B, mi_factorial(B1) * mi_factorial(B2))
+                    left = fc.one_form(fc.mc(b, mi_bump(B1, a)))
+                    right = fc.one_form(fc.mc(a, B2))
+                    rhs = rhs + left.wedge(right).scale(coeff)
+            eqs.set(fc.mc(b, B), rhs)
+    return eqs
+
+
+def oracle_substitute(form, mapping):
+    fc = form.fc
+    out = fc.form()
+    for word, c in form.terms.items():
+        piece = fc.scalar_form(c)
+        for sid in word:
+            repl = mapping.get(sid)
+            piece = piece.wedge(repl if repl is not None else fc.one_form(fc.by_id(sid)))
+        out = out + piece
+    return out
+
+
+def oracle_restrict_to_pseudogroup(eqs, mcrel):
+    fc = eqs.fc
+
+    def mc_form(key):
+        out = fc.form()
+        for k2, c in mcrel.relation(key).items():
+            out = out + fc.one_form(fc.mc(k2[0], k2[1])).scale(c)
+        return out
+
+    mapping = {}
+    for sid in set().union(*[rhs.symbols() for rhs in eqs.equations.values()]):
+        sym = fc.by_id(sid)
+        if sym.kind == "mc" and not mcrel.is_basis((sym.index[0], sym.index[2])):
+            mapping[sid] = mc_form((sym.index[0], sym.index[2]))
+    out = EquationSet(fc)
+    for sym, rhs in eqs.items():
+        if sym.kind == "mc" and not mcrel.is_basis((sym.index[0], sym.index[2])):
+            continue
+        out.set(sym, oracle_substitute(rhs, mapping))
+    return out
+
+
+def _equations(eqs):
+    """Every equation in order, with its words and their coefficients in
+    order, by symbol name (independent of the form context)."""
+    name = lambda sid: eqs.fc.by_id(sid).name
+    return [
+        (name(sid), [(tuple(map(name, w)), c.num.terms, c.den.terms) for w, c in rhs.terms.items()])
+        for sid, rhs in eqs.equations.items()
+    ]
+
+
+def _fresh_fc(m):
+    names = ["x", "y", "z"][: max(m - 1, 1)]
+    return FormContext(JetContext(names, ["u"]))
+
+
+@pytest.mark.parametrize("m, N", [(m, N) for m in (1, 2, 3) for N in range(5)])
+def test_structure_equations_match_the_wedge_by_wedge_oracle(m, N):
+    fc, fc_oracle = _fresh_fc(m), _fresh_fc(m)
+    got = diffeo_structure_equations(fc, m, N)
+    want = oracle_diffeo_structure_equations(fc_oracle, m, N)
+    assert _equations(got) == _equations(want)
+    # symbols are registered in the same order, so their ids agree too
+    assert [s.name for s in fc._syms] == [s.name for s in fc_oracle._syms]
+    for rhs in got.equations.values():
+        assert all(isinstance(w, tuple) and len(w) == 2 for w in rhs.terms)
+
+
+def test_structure_equations_wedge_nothing_and_run_no_gcd(monkeypatch):
+    import cartanframes.exact
+
+    monkeypatch.setattr(ExteriorForm, "wedge", _fail)
+    monkeypatch.setattr(cartanframes.exact, "poly_gcd", _fail)
+    diffeo_structure_equations(_fresh_fc(3), 3, 3)
+
+
+def test_mc_formats_a_name_only_for_a_new_symbol(monkeypatch):
+    fc = _fresh_fc(2)
+    sym = fc.mc(1, (1, 0))
+    monkeypatch.setattr(fc, "_mc_name", _fail)
+    assert fc.mc(1, (1, 0)) is sym
+
+
+@pytest.mark.parametrize("name, order", [("point", 3), ("contact", 3), ("contact_asprinted", 2), ("pj", 2)])
+def test_restriction_matches_the_sum_of_pieces_oracle(name, order):
+    s = session(name)
+    s.system.prolong(order + 1)
+    eqs = diffeo_structure_equations(s.fc, s.system.m, order)
+    got = restrict_to_pseudogroup(eqs, s.mc, order)
+    want = oracle_restrict_to_pseudogroup(eqs, s.mc)
+    assert _equations(got) == _equations(want)

@@ -280,6 +280,43 @@ def test_cli_signature_data_diagnostics(tmp_path, capsys, content, message):
     assert err.startswith(f"error: --data {data}: ") and message in err
 
 
+SIDE = '{"grids": [[0, 0.5, 1]], "invariants": ["s"]}'
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"parameters": ["s"], "S": {"grids": [["a"]], "invariants": ["s"]}, "Sbar": %s}' % SIDE, 'S.grids[0][0] is not a number: "a"'),
+        ('{"parameters": ["s"], "S": %s, "Sbar": {"grids": [[0, null]], "invariants": ["s"]}}' % SIDE, "Sbar.grids[0][1] is not a number: null"),
+        ('{"parameters": ["s"], "S": {"grids": ["ab"], "invariants": ["s"]}, "Sbar": %s}' % SIDE, "S.grids is not a list of lists of numbers"),
+        ('{"parameters": ["s"], "S": {"grids": 5, "invariants": ["s"]}, "Sbar": %s}' % SIDE, "S.grids is not a list of lists of numbers"),
+        ('{"parameters": ["s"], "S": {"grids": [[0]], "invariants": [3]}, "Sbar": %s}' % SIDE, "S.invariants is not a list of strings"),
+        ('{"parameters": ["s"], "order": "two", "S": %s, "Sbar": %s}' % (SIDE, SIDE), 'order is not a number: "two"'),
+        ('{"parameters": ["s"], "tol": "tight", "S": %s, "Sbar": %s}' % (SIDE, SIDE), 'tol is not a number: "tight"'),
+        ('{"parameters": ["s"], "tol": [1], "S": %s, "Sbar": %s}' % (SIDE, SIDE), "tol is not a number: [1]"),
+    ],
+)
+def test_cli_signature_data_values_must_be_numbers(tmp_path, capsys, content, message):
+    data = tmp_path / "data.json"
+    data.write_text(content)
+    code, out = _run_cli("run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(data))
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == f"error: --data {data}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["point.prob", "classify-ode"], "missing --rhs"), (["contact.prob", "signature-compare"], "missing --data")],
+)
+def test_cli_missing_required_option_is_a_usage_error(capsys, argv, message):
+    problem, command = argv
+    code, out = _run_cli("run", str(PROBLEMS / problem), command)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "rhs, message",
     [("p^4 + zz", "--rhs:1:8: unknown symbol 'zz'"), ("p^4 p", "--rhs:1:5: trailing token 'p'")],
