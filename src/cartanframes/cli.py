@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 
 from .exact import ExactError, RatFn, format_ratfn
-from .exterior import diffeo_structure_equations, restrict_to_pseudogroup
 from .frames import (
     SampledSubmanifold,
     classify_ode,
@@ -84,14 +83,8 @@ def cmd_lift(pf: ProblemFile, args, report: Report) -> int:
 
 
 def cmd_structure(pf: ProblemFile, args, report: Report) -> int:
-    session = Session(pf)
     order = args.order if args.order is not None else 1
-    system, mc = session.system, session.mc
-    eqs = diffeo_structure_equations(session.fc, system.m, order)
-    if system.lead_list:
-        system.prolong(order + 1)
-        eqs = restrict_to_pseudogroup(eqs, mc, order)
-    for sym, rhs in eqs.items():
+    for sym, rhs in Session(pf, mc_order=order - 1).restricted.items():
         report.add(f"structure.d({sym.name})", rhs.pretty())
     return 0
 
@@ -111,7 +104,7 @@ def cmd_recurrence(pf: ProblemFile, args, report: Report) -> int:
     for alpha in range(jc.q):
         for J in mi_up_to(jc.p, order):
             coord = ("u", alpha, J)
-            if state is not None and cs.status(coord)[0] in ("normalized", "vanishes"):
+            if state is not None and cs.value(coord) is not None:
                 continue
             rec = engine.recurrence(coord)
             rhs = state.reduce(rec.rhs) if state is not None else rec.rhs
@@ -220,8 +213,7 @@ def cmd_cartan_test(pf: ProblemFile, args, report: Report) -> int:
 def cmd_groebner(pf: ProblemFile, args, report: Report) -> int:
     gens = pf.module_generators("s")
     if not gens:
-        report.add("groebner.error", "no spoly block in problem file")
-        return 1
+        raise UsageError("no spoly block in problem file")
     basis = groebner_module(gens)
     for i, g in enumerate(basis):
         report.add(f"groebner.basis[{i}]", g.pretty(pf.independent, pf.dependent))
@@ -340,10 +332,7 @@ def _partial_operator(jc: JetContext, params, i: int):
     var = jc.x_var(i)
 
     def op(func):
-        expr = func.expr
-        num = expr.num.partial(var) * expr.den - expr.num * expr.den.partial(var)
-        new = RatFn(num, expr.den * expr.den)
-        return _to_callable(jc, params, new)
+        return _to_callable(jc, params, func.expr.partial(var))
 
     return op
 

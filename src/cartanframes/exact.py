@@ -272,22 +272,6 @@ class Poly:
     def leading_coeff(self) -> Fraction:
         return self.terms[self.leading_key()]
 
-    def coefficient_of(self, var: Variable, exp: int) -> "Poly":
-        """Coefficient of var**exp, viewing the polynomial in var."""
-        out: dict[ExpKey, Fraction] = {}
-        for key, c in self.terms.items():
-            d = dict(key)
-            if d.get(var.vid, 0) == exp:
-                d.pop(var.vid, None)
-                out[tuple(sorted(d.items()))] = c
-        return Poly(self.ctx, out)
-
-    def degree_in(self, var: Variable) -> int:
-        d = -1
-        for key in self.terms:
-            d = max(d, dict(key).get(var.vid, 0))
-        return d
-
     def partial(self, var: Variable) -> "Poly":
         """Formal partial derivative with respect to ``var``."""
         out: dict[ExpKey, Fraction] = {}
@@ -586,6 +570,13 @@ class RatFn:
         if self.is_zero():
             raise ExactError("inverse of zero")
         return RatFn(self.den, self.num)
+
+    def partial(self, var: Variable) -> "RatFn":
+        """Formal partial derivative with respect to ``var`` (quotient rule)."""
+        dn, dd = self.num.partial(var), self.den.partial(var)
+        if not dn and not dd:
+            return self.ctx.ratfn(0)
+        return RatFn(dn * self.den - self.num * dd, self.den * self.den)
 
     def subs(self, mapping: dict[int, Poly | Fraction | int]) -> "RatFn":
         return RatFn(self.num.subs(mapping), self.den.subs(mapping))

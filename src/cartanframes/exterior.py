@@ -102,16 +102,6 @@ class FormContext:
 Word = tuple[int, ...]
 
 
-def _accumulate(terms: dict[Word, RatFn], word: Word, c: RatFn) -> None:
-    """terms[word] += c, dropping the word if the sum vanishes."""
-    s = terms.get(word)
-    s = c if s is None else s + c
-    if s.is_zero():
-        terms.pop(word, None)
-    else:
-        terms[word] = s
-
-
 def _merge_words(fc: FormContext, wa: Word, wb: Word) -> Optional[tuple[Word, int]]:
     """Wedge two sorted words; None if a symbol repeats, else (word, sign)."""
     if not wa:
@@ -164,7 +154,7 @@ class ExteriorForm:
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            _accumulate(out, w, c)
+            _add_term(out, w, c)
         return ExteriorForm(self.fc, out)
 
     def __neg__(self):
@@ -188,7 +178,7 @@ class ExteriorForm:
                 if merged is None:
                     continue
                 word, sign = merged
-                _accumulate(out, word, ca * cb if sign > 0 else -(ca * cb))
+                _add_term(out, word, ca * cb if sign > 0 else -(ca * cb))
         return ExteriorForm(self.fc, out)
 
     def degree_part(self, k: int) -> "ExteriorForm":
@@ -200,7 +190,7 @@ class ExteriorForm:
             out.update(w)
         return out
 
-    def coefficient_of_word(self, word: Word) -> RatFn:
+    def coefficient(self, word: Word) -> RatFn:
         return self.terms.get(tuple(word), self.fc.jc.ratfn(0))
 
     def pretty(self) -> str:
@@ -260,7 +250,7 @@ def substitute(
                 break
         else:
             for w, v in piece.terms.items():
-                _accumulate(out, w, v)
+                _add_term(out, w, v)
     return ExteriorForm(fc, out)
 
 
@@ -430,7 +420,7 @@ def _splits_below(B: Counts) -> list[Counts]:
     return out
 
 
-def restrict_to_pseudogroup(eqs: EquationSet, mcrel, order: int) -> EquationSet:
+def restrict_to_pseudogroup(eqs: EquationSet, mcrel) -> EquationSet:
     """Substitute solved Maurer-Cartan symbols by their lifted basis
     expressions, keeping equations for sigma forms and basis mu forms only."""
     fc = eqs.fc
@@ -441,7 +431,7 @@ def restrict_to_pseudogroup(eqs: EquationSet, mcrel, order: int) -> EquationSet:
             return fc.one_form(fc.mc(key[0], key[1]))
         out: dict[Word, RatFn] = {}
         for k2, c in mcrel.relation(key).items():
-            _accumulate(out, (fc.mc(k2[0], k2[1]).sid,), c)
+            _add_term(out, (fc.mc(k2[0], k2[1]).sid,), c)
         return ExteriorForm(fc, out)
 
     mapping: dict[int, ExteriorForm] = {}
@@ -457,5 +447,6 @@ def restrict_to_pseudogroup(eqs: EquationSet, mcrel, order: int) -> EquationSet:
             key = (sym.index[0], sym.index[2])
             if not mcrel.is_basis(key):
                 continue
-        out.set(sym, substitute(rhs, mapping))
+        # a right side without a solved symbol restricts to itself
+        out.set(sym, substitute(rhs, mapping) if mapping.keys() & rhs.symbols() else rhs)
     return out

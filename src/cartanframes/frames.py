@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exact import QZERO, ExactError, ExactMatrix, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
+from .exact import QONE, QZERO, ExactError, ExactMatrix, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
 from .exterior import (
     EquationSet,
     ExteriorForm,
@@ -83,24 +83,21 @@ class CrossSection:
     def declare_nonvanishing(self, coord: Coord) -> None:
         self.nonvanishing.append(coord)
 
-    def status(self, coord: Coord):
-        """One of ("normalized", c), ("vanishes", c), ("nonvanishing",), ("free",)."""
+    def value(self, coord: Coord) -> Optional[Fraction]:
+        """The constant a normalized or vanishing coordinate is fixed at, or
+        None when the cross-section leaves the coordinate free."""
         for entry, value in self.entries:
             if entry == coord:
-                return ("normalized", value)
+                return value
         if coord[0] == "u":
             alpha, J = coord[1], coord[2]
             for pat in self.patterns:
                 if pat.matches(alpha, J):
-                    return ("normalized", pat.value)
+                    return pat.value
             for valpha, gen, value in self.vanish_generators:
                 if valpha == alpha and mi_divides(gen, J):
-                    if mi_order(J) > mi_order(gen):
-                        return ("vanishes", Q(0))
-                    return ("vanishes", value)
-        if coord in self.nonvanishing:
-            return ("nonvanishing",)
-        return ("free",)
+                    return value if mi_order(J) == mi_order(gen) else QZERO
+        return None
 
     def validate_prefix(self) -> None:
         """Syntactic cross-order compatibility: explicit normalizations must be
@@ -205,36 +202,39 @@ class RecurrenceEngine:
     # -- invariantization ------------------------------------------------------
 
     def iota_coord(self, coord: Coord) -> RatFn:
-        status = self.cs.status(coord)
-        if status[0] in ("normalized", "vanishes"):
-            return self.jc.ratfn(status[1])
+        value = self.cs.value(coord)
+        if value is not None:
+            return self.jc.ratfn(value)
         return self.jc.rvar(self.jc.invariant_var(coord))
 
     def _iota_var(self, vid: int) -> tuple[Fraction, ExpKey]:
-        """iota of one variable as (constant, monomial key): a normalized
-        coordinate gives (value, ()), a free one (1, its invariant)."""
+        """iota of one variable as (constant, monomial key): x^i, u^a_J or the
+        invariant of either gives (value, ()) when the cross-section fixes the
+        coordinate, and (1, its invariant) otherwise."""
         got = self._iota_cache.get(vid)
         if got is not None:
             return got
         var = self.jc.ctx.var_by_id(vid)
         decoded = self.jc.decode(var)
         if decoded[0] == "x":
-            val = self.iota_coord(("x", decoded[1]))
+            coord = ("x", decoded[1])
         elif decoded[0] == "u":
-            val = self.iota_coord(("u", decoded[1], decoded[2]))
+            coord = ("u", decoded[1], decoded[2])
         elif decoded[0] == "inv":
-            val = self.jc.rvar(var)
+            coord = decoded[1]
         else:
             raise ExactError(f"cannot invariantize {var.name}")
-        if len(val.num.terms) > 1 or not val.den.is_constant():
-            raise ExactError(f"iota({var.name}) is not a monomial")
-        key, c = next(iter(val.num.terms.items()), ((), QZERO))
-        got = self._iota_cache[vid] = (c / val.den.constant_value(), key)
+        value = self.cs.value(coord)
+        if value is None:
+            got = (QONE, ((self.jc.invariant_var(coord).vid, 1),))
+        else:
+            got = (value, ())
+        self._iota_cache[vid] = got
         return got
 
-    def iota_poly(self, p: Poly) -> RatFn:
+    def _iota_terms(self, p: Poly) -> Poly:
         """Invariantize a polynomial by substituting the monomial image of each
-        variable; the result is normalized once, at the end."""
+        variable."""
         out: dict[ExpKey, Fraction] = {}
         for key, c in p.terms.items():
             mono: ExpKey = ()
@@ -248,7 +248,16 @@ class RecurrenceEngine:
                     mono = _merge_exp(mono, ikey if e == 1 else tuple((v, k * e) for v, k in ikey))
             else:
                 _add_term(out, mono, c)
-        return RatFn(Poly(self.jc.ctx, out), self.jc.poly(1))
+        return Poly(self.jc.ctx, out)
+
+    def iota_poly(self, p: Poly) -> RatFn:
+        """iota of a polynomial, normalized once, at the end."""
+        return RatFn(self._iota_terms(p), self.jc.poly(1))
+
+    def iota(self, f: RatFn) -> RatFn:
+        """iota of a rational function: its value on the cross-section, in
+        the invariants of the coordinates the cross-section leaves free."""
+        return RatFn(self._iota_terms(f.num), self._iota_terms(f.den))
 
     # -- Maurer-Cartan expansion --------------------------------------------------
 
@@ -263,26 +272,12 @@ class RecurrenceEngine:
         else:
             out = fc.form()
             for k2, coeff in self.mcrel.relation(key).items():
-                value = self._point_coeff(coeff)
+                value = self.iota(coeff)
                 if value.is_zero():
                     continue
                 out = out + fc.one_form(fc.mc(k2[0], k2[1])).scale(value)
         self._mu_cache[key] = out
         return out
-
-    def _point_coeff(self, coeff: RatFn) -> RatFn:
-        """Evaluate a lifted coefficient at the cross-section's order-0 values."""
-        mapping = {}
-        for vid in coeff.num.variables() | coeff.den.variables():
-            var = self.jc.ctx.var_by_id(vid)
-            decoded = self.jc.decode(var)
-            if decoded[0] != "inv":
-                continue
-            coord = decoded[1]
-            status = self.cs.status(coord)
-            if status[0] in ("normalized", "vanishes"):
-                mapping[vid] = status[1]
-        return coeff.subs(mapping) if mapping else coeff
 
     # -- recurrence relations --------------------------------------------------------
 
@@ -344,13 +339,11 @@ class RecurrenceEngine:
         coordinate up to the working order, stratified by jet order."""
         subjects = []
         for i in range(self.jc.p):
-            st = self.cs.status(("x", i))
-            if st[0] in ("normalized", "vanishes"):
+            if self.cs.value(("x", i)) is not None:
                 subjects.append((0, ("x", i)))
         for alpha in range(self.jc.q):
             for J in mi_up_to(self.jc.p, inv_order):
-                st = self.cs.status(("u", alpha, J))
-                if st[0] in ("normalized", "vanishes"):
+                if self.cs.value(("u", alpha, J)) is not None:
                     subjects.append((mi_order(J), ("u", alpha, J)))
         return subjects
 
@@ -474,7 +467,7 @@ class RecurrenceEngine:
         for alpha in range(self.jc.q):
             for J in mi_up_to(self.jc.p, inv_order):
                 coord = ("u", alpha, J)
-                if self.cs.status(coord)[0] in ("free", "nonvanishing"):
+                if self.cs.value(coord) is None:
                     coords[self.jc.invariant_var(coord).vid] = coord
         return {vid: self.reduced_recurrence(coord, state).rhs for vid, coord in coords.items() if vid in vids}
 
@@ -503,7 +496,7 @@ class RecurrenceEngine:
                 rule = diff_map.get(vid)
                 if rule is None:
                     raise MissingRule(var.name)
-                partial = _ratfn_partial(c, var)
+                partial = c.partial(var)
                 if not partial.is_zero():
                     out = out + rule.scale(partial)
             return out
@@ -545,7 +538,7 @@ def normalized_structure_equations(
                 value = state.resolved_value((sym.index[0], sym.index[2]))
                 if value is not None:
                     local[sid] = value
-        return substitute(form, local, coeff_sub=engine._point_coeff)
+        return substitute(form, local, coeff_sub=engine.iota)
 
     out = EquationSet(fc)
     keep = set(keep_mc)
@@ -588,7 +581,7 @@ def commutator_invariants(engine: RecurrenceEngine, eqs: EquationSet):
         for i in range(p):
             for j in range(i + 1, p):
                 word_syms = sorted([fc.omega(i).sid, fc.omega(j).sid], key=lambda s: fc.by_id(s).skey)
-                coeff = rhs.coefficient_of_word(tuple(word_syms))
+                coeff = rhs.coefficient(tuple(word_syms))
                 sign = 1 if word_syms[0] == fc.omega(i).sid else -1
                 Y[(k, i, j)] = -(coeff if sign > 0 else -coeff)
     return Y, residual_syms
@@ -666,38 +659,16 @@ def determining_annihilator(engine: RecurrenceEngine, n: int):
         terms = {(key[1], key[0]): Q(1)}
         degenerate = False
         for (f2, B2), coeff in system.relation(key).items():
-            value = _coeff_at_point(engine, coeff)
-            if value is None:
+            value = engine.iota(coeff)
+            if not value.is_constant():
                 degenerate = True
                 break
             if value:
-                terms[(B2, f2)] = terms.get((B2, f2), Q(0)) - value
+                terms[(B2, f2)] = terms.get((B2, f2), Q(0)) - value.constant_value()
         if degenerate:
             continue
         out.append(TPoly(m, terms))
     return [p for p in out if not p.is_zero()]
-
-
-def _coeff_at_point(engine: RecurrenceEngine, coeff: RatFn):
-    """Evaluate a z-coefficient at the cross-section's base-point constants."""
-    mapping = {}
-    for vid in coeff.num.variables() | coeff.den.variables():
-        var = engine.jc.ctx.var_by_id(vid)
-        decoded = engine.jc.decode(var)
-        if decoded[0] == "x":
-            coord = ("x", decoded[1])
-        elif decoded[0] == "u":
-            coord = ("u", decoded[1], decoded[2])
-        else:
-            return None
-        status = engine.cs.status(coord)
-        if status[0] not in ("normalized", "vanishes"):
-            return None
-        mapping[vid] = status[1]
-    value = coeff.subs(mapping) if mapping else coeff
-    if not value.is_constant():
-        return None
-    return value.constant_value()
 
 
 def _sign_normalize_tpoly(poly):
@@ -770,7 +741,7 @@ def _substitute_ode(jc: JetContext, expr: Poly, F: RatFn) -> RatFn:
         for slot, var in ((0, xv), (1, uv), (2, pv)):
             for _ in range(J[slot]):
                 # not a total derivative: jets of F's arguments are plain partials
-                out = _ratfn_partial(out, var)
+                out = out.partial(var)
         return out
 
     mapping = {}
@@ -793,30 +764,21 @@ def _substitute_ode(jc: JetContext, expr: Poly, F: RatFn) -> RatFn:
     return out
 
 
-def _ratfn_partial(f: RatFn, var) -> RatFn:
-    dn = f.num.partial(var)
-    dd = f.den.partial(var)
-    return RatFn(dn * f.den - f.num * dd, f.den * f.den)
-
-
 def oracle_classify_ode(jc: JetContext, F: RatFn):
     """Independent route: evaluate both numerators directly on functions of
     (x,u,p) with Dhat = d/dx + p d/du + F d/dp and q-jets replaced by F's
     partial derivatives from the start."""
     xv, uv, pv = jc.x_var(0), jc.x_var(1), jc.x_var(2)
 
-    def part(f, var):
-        return _ratfn_partial(f, var)
-
     def dhat(f):
-        return part(f, xv) + jc.rvar(pv) * part(f, uv) + F * part(f, pv)
+        return f.partial(xv) + jc.rvar(pv) * f.partial(uv) + F * f.partial(pv)
 
-    Fp = part(F, pv)
-    Fpp = part(Fp, pv)
-    inv1 = part(part(Fpp, pv), pv)
-    Fu = part(F, uv)
-    Fup = part(Fu, pv)
-    Fuu = part(Fu, uv)
+    Fp = F.partial(pv)
+    Fpp = Fp.partial(pv)
+    inv1 = Fpp.partial(pv).partial(pv)
+    Fu = F.partial(uv)
+    Fup = Fu.partial(pv)
+    Fuu = Fu.partial(uv)
     inv2 = dhat(dhat(Fpp)) - 4 * dhat(Fup) - Fp * dhat(Fpp) + 6 * Fuu - 3 * Fu * Fpp + 4 * Fp * Fup
     return _branch_label(inv1, inv2), inv1, inv2
 

@@ -214,28 +214,9 @@ def t_span_equal(a: Iterable[TPoly], b: Iterable[TPoly], m: int) -> bool:
 
 
 def t_homogeneous_component(gens: Iterable[TPoly], m: int, n: int) -> list[TPoly]:
-    """Degree-n part of H(span(gens) intersect degree <= n): eliminate
-    monomials of degree > n first, then read off the degree-n parts."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    columns = set()
-    for g in gens:
-        columns.update(g.terms)
-    # degree > n columns first so the echelon isolates the <= n subspace
-    columns = sorted(columns, key=lambda key: (-mi_order(key[0]), key))
-    matrix = t_span_matrix(gens, m, columns)
-    ech, pivots = ordered_row_echelon(matrix)
-    out = []
-    for r, row in enumerate(ech.rows):
-        poly = TPoly(m, {columns[c]: row[c] for c in range(len(columns)) if row[c]})
-        if poly.is_zero():
-            continue
-        if poly.degree() <= n:
-            top = poly.highest_term()
-            if top.degree() == n:
-                out.append(top)
-    return out
+    """Degree-n part of H(span(gens) intersect degree <= n): the degree-n
+    parts of the degree-n rows of ``t_degree_filter``."""
+    return [g.highest_term() for g in t_degree_filter(gens, m, n) if g.degree() == n]
 
 
 # -- classes, symbol matrix, indices, Cartan test -----------------------------------

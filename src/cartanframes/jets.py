@@ -34,9 +34,6 @@ def mi_zero(n: int) -> Counts:
 def mi_add(a: Counts, b: Counts) -> Counts:
     return tuple(x + y for x, y in zip(a, b))
 
-def mi_unit(n: int, pos: int) -> Counts:
-    return tuple(1 if i == pos else 0 for i in range(n))
-
 def mi_bump(counts: Counts, pos: int) -> Counts:
     return tuple(c + 1 if i == pos else c for i, c in enumerate(counts))
 

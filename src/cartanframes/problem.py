@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactError, RatFn, format_ratfn
+from .exact import ExactError, RatFn, _add_term, format_ratfn
 from .frames import CrossSection
 from .involution import SPoly, TPoly
 from .jets import Coord, Counts, JetContext, coord_u, coord_x, mi_order, mi_zero
@@ -219,12 +219,7 @@ class _ExprValue:
     def add(self, other):
         out = dict(self.linear)
         for k, c in other.linear.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _add_term(out, k, c)
         return _ExprValue(self.jc, self.scalar + other.scalar, out)
 
     def neg(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exact import ExactError, Poly, Q, RatFn
+from .exact import ExactError, Poly, Q, RatFn, _add_term
 from .jets import (
     Coord,
     Counts,
@@ -34,24 +34,6 @@ JetKey = tuple[int, Counts]  # (field index, derivative multi-index over M)
 
 # A linear combination of field jets with RatFn coefficients.
 LinComb = dict[JetKey, RatFn]
-
-
-def lc_add(a: LinComb, b: LinComb) -> LinComb:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def lc_scale(a: LinComb, c: RatFn) -> LinComb:
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in a.items()}
 
 
 class NotFormallyIntegrable:
@@ -130,25 +112,15 @@ class DeterminingSystem:
 
     # -- differentiation and reduction ---------------------------------------
 
-    def _z_var(self, a: int):
-        return self.jc.coord_var(self.base_coords[a])
-
-    def _ratfn_z_partial(self, f: RatFn, a: int) -> RatFn:
-        var = self._z_var(a)
-        dn = f.num.partial(var)
-        dd = f.den.partial(var)
-        if dn.is_zero() and dd.is_zero():
-            return self.jc.ratfn(0)
-        return RatFn(dn * f.den - f.num * dd, f.den * f.den)
-
     def z_derivative(self, lc: LinComb, a: int) -> LinComb:
         """Formal total derivative D_{z^a} of a linear combination of jets."""
+        var = self.jc.coord_var(self.base_coords[a])
         out: LinComb = {}
         for (f, B), coeff in lc.items():
-            out = lc_add(out, {(f, mi_bump(B, a)): coeff})
-            dc = self._ratfn_z_partial(coeff, a)
-            if not dc.is_zero():
-                out = lc_add(out, {(f, B): dc})
+            _add_term(out, (f, mi_bump(B, a)), coeff)
+            dc = coeff.partial(var)
+            if dc:
+                _add_term(out, (f, B), dc)
         return out
 
     def relation(self, key: JetKey) -> LinComb:
@@ -179,9 +151,10 @@ class DeterminingSystem:
         out: LinComb = {}
         for key, coeff in lc.items():
             if self.is_solved(key):
-                out = lc_add(out, lc_scale(self.relation(key), coeff))
+                for k, c in self.relation(key).items():
+                    _add_term(out, k, c * coeff)
             else:
-                out = lc_add(out, {key: coeff})
+                _add_term(out, key, coeff)
         return out
 
     # -- integrability --------------------------------------------------------
@@ -204,7 +177,9 @@ class DeterminingSystem:
             for a in parents:
                 parent = (f, tuple(c - 1 if j == a else c for j, c in enumerate(B)))
                 alt = self.reduce(self.z_derivative(self.relation(parent), a))
-                diff = lc_add(alt, lc_scale(ref, self.jc.ratfn(-1)))
+                diff = dict(alt)
+                for k, c in ref.items():
+                    _add_term(diff, k, -c)
                 if diff:
                     finding = NotFormallyIntegrable(key, diff)
                     findings.append(finding)

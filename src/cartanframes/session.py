@@ -81,7 +81,7 @@ class Session:
     def restricted(self) -> EquationSet:
         """Structure equations up to ``mc_order + 1``, restricted to the pseudo-group."""
         eqs = diffeo_structure_equations(self.fc, self.system.m, self.mc_order + 1)
-        return restrict_to_pseudogroup(eqs, self.mc, self.mc_order + 1)
+        return restrict_to_pseudogroup(eqs, self.mc)
 
     @cached_property
     def residual(self) -> list:

@@ -5,7 +5,7 @@ elements.  They check the annihilator dimensions and the worked examples
 against the constructions the CLI runs (``frames.isotropy_annihilator``)."""
 
 from cartanframes.exact import ExactError, Poly, Q, RatFn, _add_term
-from cartanframes.frames import FrameState, RecurrenceEngine, _coeff_at_point, _frame_value_tpoly, determining_annihilator
+from cartanframes.frames import FrameState, RecurrenceEngine, _frame_value_tpoly, determining_annihilator
 from cartanframes.involution import TPoly
 from cartanframes.jets import mi_all, mi_up_to, mi_zero
 
@@ -22,7 +22,7 @@ def invariantize_parametrized(engine: RecurrenceEngine, terms: dict):
     for key, coeff in terms.items():
         if not isinstance(coeff, RatFn):
             coeff = engine.jc.ratfn(coeff)
-        value = engine.iota_poly(coeff.num) / engine.iota_poly(coeff.den)
+        value = engine.iota(coeff)
         out[key] = value
         constant &= value.is_constant()
     if constant:
@@ -86,11 +86,11 @@ def _field_linear_to_tpoly(engine: RecurrenceEngine, phi):
         if fkey is None:
             raise ExactError("pairing: term without a field jet")
         mono = Poly(jc.ctx, {tuple(sorted(rest)): c})
-        value = _coeff_at_point(engine, RatFn(mono, jc.poly(1)))
-        if value is None:
+        value = engine.iota(RatFn(mono, jc.poly(1)))
+        if not value.is_constant():
             return None
         if value:
-            _add_term(terms, (fkey[1], fkey[0]), value)
+            _add_term(terms, (fkey[1], fkey[0]), value.constant_value())
     return TPoly(m, terms)
 
 

@@ -297,8 +297,8 @@ def test_criterion_7_syzygies(point_branch1, point_universal):
         rec_p2x2 = fr.engine.reduced_recurrence(("u", 0, (2, 0, 2)), fr.state).rhs
         qp4x = fr.jc.rvar(fr.jc.invariant_var(("u", 0, (1, 0, 4))))
         qp3x2 = fr.jc.rvar(fr.jc.invariant_var(("u", 0, (2, 0, 3))))
-        ok &= rec_p4.coefficient_of_word((fr.fc.omega(0).sid,)) == qp4x
-        ok &= rec_p2x2.coefficient_of_word((fr.fc.omega(2).sid,)) == qp3x2
+        ok &= rec_p4.coefficient((fr.fc.omega(0).sid,)) == qp4x
+        ok &= rec_p2x2.coefficient((fr.fc.omega(2).sid,)) == qp3x2
     # branch-I d^2 audit validates the same identities inside the coframe set
     failures, audited, skipped = point_branch1.engine.audit_d_squared(
         point_branch1.state, point_branch1.coframe, 6

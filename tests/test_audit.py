@@ -18,7 +18,7 @@ def eligible_coords(engine, inv_order):
     for alpha in range(engine.jc.q):
         for J in mi_up_to(engine.jc.p, inv_order):
             coord = ("u", alpha, J)
-            if engine.cs.status(coord)[0] in ("free", "nonvanishing"):
+            if engine.cs.value(coord) is None:
                 out.append(coord)
     return out
 

@@ -176,7 +176,7 @@ def _contact_restricted(order):
     fc.mc_names[0] = "mu"
     fc.mc_names[1] = "nu"
     eqs = diffeo_structure_equations(fc, 4, order)
-    return fc, jc, mc, restrict_to_pseudogroup(eqs, mc, order)
+    return fc, jc, mc, restrict_to_pseudogroup(eqs, mc)
 
 
 def test_restrict_contact_horizontal_equations():
@@ -214,7 +214,7 @@ def test_restrict_contact_horizontal_equations():
 
 def test_restrict_idempotent():
     fc, jc, mc, restricted = _contact_restricted(2)
-    again = restrict_to_pseudogroup(restricted, mc, 2)
+    again = restrict_to_pseudogroup(restricted, mc)
     assert {s.sid for s, _ in again.items()} == {s.sid for s, _ in restricted.items()}
     for sym, rhs in restricted.items():
         assert again.get(sym) == rhs
@@ -226,7 +226,7 @@ def test_restrict_trivial_system_is_identity():
     mc = lift_system(system)
     fc = FormContext(jc)
     eqs = diffeo_structure_equations(fc, 2, 1)
-    restricted = restrict_to_pseudogroup(eqs, mc, 1)
+    restricted = restrict_to_pseudogroup(eqs, mc)
     for sym, rhs in eqs.items():
         assert restricted.get(sym) == rhs
 
@@ -255,7 +255,7 @@ def test_point_restriction_equals_contact_with_mu_p_dropped():
     fc_p.mc_names[0] = "mu"
     fc_p.mc_names[1] = "nu"
     eqs = diffeo_structure_equations(fc_p, 4, 2)
-    point = restrict_to_pseudogroup(eqs, mc_p, 2)
+    point = restrict_to_pseudogroup(eqs, mc_p)
 
     def drop_mu_p(form, fc):
         zero = {}

@@ -307,7 +307,11 @@ def test_cli_signature_data_values_must_be_numbers(tmp_path, capsys, content, me
 
 @pytest.mark.parametrize(
     "argv, message",
-    [(["point.prob", "classify-ode"], "missing --rhs"), (["contact.prob", "signature-compare"], "missing --data")],
+    [
+        (["point.prob", "classify-ode"], "missing --rhs"),
+        (["contact.prob", "signature-compare"], "missing --data"),
+        (["point.prob", "groebner"], "no spoly block in problem file"),
+    ],
 )
 def test_cli_missing_required_option_is_a_usage_error(capsys, argv, message):
     problem, command = argv
