@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .exact import ExactError, RatFn, format_ratfn
 from .frames import (
+    FrameState,
     SampledSubmanifold,
     classify_ode,
     commutator_invariants,
@@ -35,7 +36,7 @@ from .involution import (
     indices,
     t_homogeneous_component,
 )
-from .jets import JetContext, mi_order, mi_up_to
+from .jets import JetContext, mi_order
 from .problem import ParseError, ProblemFile, _ExprParser, _field_jet_token, _Tokens, parse_problem, print_problem
 from .session import Session
 
@@ -92,24 +93,14 @@ def cmd_structure(pf: ProblemFile, args, report: Report) -> int:
 def cmd_recurrence(pf: ProblemFile, args, report: Report) -> int:
     order = args.order if args.order is not None else 1
     session = Session(pf, order)
-    jc, cs = session.jc, session.cs
     if args.raw:
-        engine, state = session.raw_engine, None
+        engine = session.raw_engine
+        state = FrameState(engine)
     else:
         engine, state = session.engine, session.state
-    for i in range(jc.p):
-        rec = engine.recurrence(("x", i))
-        rhs = state.reduce(rec.rhs) if state is not None else rec.rhs
-        report.add(f"recurrence.d({jc.independents[i].upper()})", rhs.pretty())
-    for alpha in range(jc.q):
-        for J in mi_up_to(jc.p, order):
-            coord = ("u", alpha, J)
-            if state is not None and cs.value(coord) is not None:
-                continue
-            rec = engine.recurrence(coord)
-            rhs = state.reduce(rec.rhs) if state is not None else rec.rhs
-            name = jc.ctx.var_by_id(jc.invariant_var(coord).vid).name
-            report.add(f"recurrence.d({name})", rhs.pretty())
+    for coord in engine.invariant_coords(order):
+        rhs = engine.reduced_recurrence(coord, state).rhs
+        report.add(f"recurrence.d({session.jc.invariant_var(coord).name})", rhs.pretty())
     return 0
 
 

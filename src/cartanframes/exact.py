@@ -29,10 +29,6 @@ class ExactError(Exception):
     """Malformed input to an exact-arithmetic operation (e.g. zero denominator)."""
 
 
-class InconsistentSystemError(ExactError):
-    """A linear system reduced to the contradiction 0 = nonzero."""
-
-
 class Variable:
     """An interned indeterminate.
 
@@ -405,8 +401,56 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     pa = {e: _poly_divmod_exact(c, ca) for e, c in ua.items()}
     pb = {e: _poly_divmod_exact(c, cb) for e, c in ub.items()}
     gc = poly_gcd(ca, cb)
-    gp = _prs_gcd(a.ctx, var, pa, pb)
+    gp = a.ctx.poly(1) if _images_coprime(pa, pb) else _prs_gcd(a.ctx, var, pa, pb)
     return _monic(gc * gp)
+
+
+def _images_coprime(pa: dict[int, Poly], pb: dict[int, Poly]) -> bool:
+    """True when the images of ``pa`` and ``pb`` (univariate views) are
+    coprime over Q at a small-integer point of the other variables where the
+    leading coefficient of ``pa`` does not vanish.  A common factor of
+    positive degree keeps its degree at such a point, so for primitive
+    ``pa``, ``pb`` coprime images mean a gcd of 1.  False when the test is
+    inconclusive."""
+    vids = sorted(set().union(*(c.variables() for u in (pa, pb) for c in u.values())))
+    lead = pa[_uni_degree(pa)]
+    for shift in range(1, 4):
+        point = {vid: Q(shift + k) for k, vid in enumerate(vids)}
+        if _evaluate(lead, point):
+            break
+    else:
+        return False
+    fa = [_evaluate(pa.get(e), point) for e in range(_uni_degree(pa) + 1)]
+    fb = [_evaluate(pb.get(e), point) for e in range(_uni_degree(pb) + 1)]
+    while any(fb):
+        while not fb[-1]:
+            fb.pop()
+        if len(fb) == 1:
+            return True
+        fa, fb = fb, _uni_rem_q(fa, fb)
+    return False
+
+
+def _evaluate(p: Optional[Poly], point: dict[int, Fraction]) -> Fraction:
+    out = QZERO
+    for key, c in p.terms.items() if p is not None else ():
+        for vid, e in key:
+            c *= point[vid] ** e
+        out += c
+    return out
+
+
+def _uni_rem_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of dense univariate polynomials over Q (coefficient lists,
+    lowest degree first; ``b`` has a nonzero leading coefficient)."""
+    a = list(a)
+    while len(a) >= len(b):
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        a.pop()
+    return a
 
 
 def _monic(p: Poly) -> Poly:
@@ -565,6 +609,10 @@ class RatFn:
         if other.is_zero():
             raise ExactError("division by zero")
         return RatFn(self.num * other.den, self.den * other.num)
+
+    def variables(self) -> set[int]:
+        """Ids of the variables of the numerator and the denominator."""
+        return self.num.variables() | self.den.variables()
 
     def inverse(self) -> "RatFn":
         if self.is_zero():
@@ -741,23 +789,20 @@ def solve_linear(
     system: ExactMatrix,
     rhs: Sequence,
     invertible: Callable = None,
-    add=lambda a, b: a + b,
     scale=lambda c, v: c * v,
-    strict: bool = True,
 ):
     """Solve ``system . x = rhs`` for as many unknowns as declared-invertible
     pivots allow.
 
-    ``rhs`` entries may live in any abelian group; ``add``/``scale`` supply its
-    operations (scalars are matrix entries).  Solved unknowns are expressed as
-    rhs-group elements plus contributions of unsolved unknowns, which the
-    caller receives via per-column coefficient maps.
+    ``rhs`` entries may live in any abelian group with ``+``; ``scale``
+    multiplies one by a scalar (a matrix entry).  Solved unknowns are
+    expressed as rhs-group elements plus contributions of unsolved unknowns,
+    which the caller receives via per-column coefficient maps.
 
     Returns a LinearSolveResult whose ``solved`` maps column label ->
-    (rhs_part, {unsolved_label: coeff}).  Raises InconsistentSystemError when
-    a residual row has no unknowns left but a nonzero constant rhs cannot be
-    formed (detected only for zero-coefficient rows with nonzero rhs when the
-    rhs group supports ``is_zero``).
+    (rhs_part, {unsolved_label: coeff}).  A row left without unknowns, such
+    as 0 = nonzero, is returned in ``residual`` with an empty coefficient map;
+    the caller decides what it means.
     """
     if invertible is None:
         invertible = _default_invertible
@@ -791,7 +836,7 @@ def solve_linear(
                 continue
             factor = work[i][c] / pv
             work[i] = [a - factor * b for a, b in zip(work[i], work[pivot_row])]
-            vec[i] = add(vec[i], scale(-factor, vec[pivot_row]))
+            vec[i] = vec[i] + scale(-factor, vec[pivot_row])
     solved = {}
     for c, i in pivot_of_col.items():
         pv = work[i][c]
@@ -810,16 +855,8 @@ def solve_linear(
         if i in used_rows:
             continue
         coeffs = {labels[c]: work[i][c] for c in range(ncols) if not _entry_is_zero(work[i][c])}
-        if strict and not coeffs and not _rhs_is_zero(vec[i]):
-            raise InconsistentSystemError("0 = nonzero right side")
         residual.append((coeffs, vec[i]))
     return LinearSolveResult(solved, unsolved, residual, blocked)
-
-
-def _rhs_is_zero(v) -> bool:
-    if hasattr(v, "is_zero"):
-        return v.is_zero()
-    return v == 0
 
 
 def _default_invertible(e) -> bool:

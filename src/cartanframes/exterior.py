@@ -12,12 +12,16 @@ from typing import Callable, Optional
 
 from .exact import ExactError, Q, RatFn, _add_term
 from .jets import Counts, JetContext, mi_bump, mi_factorial, mi_order, mi_up_to, mi_zero
+from .pseudogroup import DeterminingSystem, JetKey
 
 
 class FormSymbol:
-    """A degree-one basis symbol (sigma^a, omega^i, mu^a_B, ...)."""
+    """A degree-one basis symbol (sigma^a, omega^i, mu^a_B, ...).
 
-    __slots__ = ("sid", "kind", "index", "name", "skey")
+    ``key`` is the jet ``(a, B)`` of a Maurer-Cartan symbol mu^a_B and None
+    for every other kind."""
+
+    __slots__ = ("sid", "kind", "index", "name", "skey", "key")
 
     def __init__(self, sid: int, kind: str, index: tuple, name: str, skey: tuple):
         self.sid = sid
@@ -25,6 +29,7 @@ class FormSymbol:
         self.index = index
         self.name = name
         self.skey = skey
+        self.key = (index[0], index[2]) if kind == "mc" else None
 
     def __repr__(self):
         return f"FormSymbol({self.name})"
@@ -310,16 +315,6 @@ class EquationSet:
     def items(self):
         return [(self.fc.by_id(sid), rhs) for sid, rhs in self.equations.items()]
 
-    def dangling_symbols(self) -> list[FormSymbol]:
-        seen: set[int] = set()
-        for rhs in self.equations.values():
-            seen |= rhs.symbols()
-        out = []
-        for sid in sorted(seen):
-            if sid not in self.equations and sid not in self.residual:
-                out.append(self.fc.by_id(sid))
-        return out
-
     def d_squared_audit(self, coeff_rule: Callable[[RatFn], ExteriorForm]):
         """The d^2 = 0 audit: apply d to every right side, using the equations
         for the symbols and ``coeff_rule`` for the coefficients.
@@ -420,33 +415,34 @@ def _splits_below(B: Counts) -> list[Counts]:
     return out
 
 
+def mc_expansion(fc: FormContext, system: DeterminingSystem, key: JetKey, coeff: Callable[[RatFn], RatFn]) -> ExteriorForm:
+    """mu^a_B in the basis Maurer-Cartan symbols: mu^a_B itself for a basis
+    jet; for a solved jet, the determining relation of zeta^a_B with each
+    zeta replaced by its mu and each coefficient mapped by ``coeff``."""
+    if not system.is_solved(key):
+        return fc.one_form(fc.mc(key[0], key[1]))
+    out: dict[Word, RatFn] = {}
+    for k2, c in system.relation(key).items():
+        c = coeff(c)
+        if c:
+            out[(fc.mc(k2[0], k2[1]).sid,)] = c
+    return ExteriorForm(fc, out)
+
+
 def restrict_to_pseudogroup(eqs: EquationSet, mcrel) -> EquationSet:
     """Substitute solved Maurer-Cartan symbols by their lifted basis
     expressions, keeping equations for sigma forms and basis mu forms only."""
     fc = eqs.fc
-    jc = fc.jc
-
-    def mc_form(key) -> ExteriorForm:
-        if mcrel.is_basis(key):
-            return fc.one_form(fc.mc(key[0], key[1]))
-        out: dict[Word, RatFn] = {}
-        for k2, c in mcrel.relation(key).items():
-            _add_term(out, (fc.mc(k2[0], k2[1]).sid,), c)
-        return ExteriorForm(fc, out)
-
+    system = mcrel.system
     mapping: dict[int, ExteriorForm] = {}
     for sid in set().union(*[rhs.symbols() for rhs in eqs.equations.values()]) if eqs.equations else set():
-        sym = fc.by_id(sid)
-        if sym.kind == "mc":
-            key = (sym.index[0], sym.index[2])
-            if not mcrel.is_basis(key):
-                mapping[sid] = mc_form(key)
+        key = fc.by_id(sid).key
+        if key is not None and system.is_solved(key):
+            mapping[sid] = mc_expansion(fc, system, key, mcrel.lift_coeff)
     out = EquationSet(fc)
     for sym, rhs in eqs.items():
-        if sym.kind == "mc":
-            key = (sym.index[0], sym.index[2])
-            if not mcrel.is_basis(key):
-                continue
+        if sym.key is not None and system.is_solved(sym.key):
+            continue
         # a right side without a solved symbol restricts to itself
         out.set(sym, substitute(rhs, mapping) if mapping.keys() & rhs.symbols() else rhs)
     return out

@@ -4,10 +4,11 @@ Maurer-Cartan forms, commutator invariants, isotropy annihilator extraction,
 ODE branch classification and the numeric signature comparator.
 
 The engine never needs coordinate formulas for the invariants: a recurrence
-relation is assembled from the symbolic prolonged generator, the lift
-substitutes Maurer-Cartan symbols for vector-field jets and opaque invariant
-symbols for jet coordinates, and phantom relations are solved linearly for
-the Maurer-Cartan forms.
+relation is assembled from the symbolic prolonged generator, evaluated on the
+cross-section (each coordinate goes to its invariant or its normalized value,
+each vector-field jet zeta^a_B to mu^a_B, solved jets through the determining
+system), and phantom relations are solved linearly for the Maurer-Cartan
+forms.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .exterior import (
     ExteriorForm,
     FormContext,
     MissingRule,
+    mc_expansion,
     substitute,
 )
 from .jets import (
@@ -33,7 +35,7 @@ from .jets import (
     mi_up_to,
     mi_zero,
 )
-from .pseudogroup import JetKey, MCRelationSet, universal_generator
+from .pseudogroup import DeterminingSystem, JetKey, universal_generator
 
 
 class CrossSectionError(ExactError):
@@ -147,20 +149,12 @@ class FrameState:
 
     def residual_keys(self, mc_order: int) -> list[JetKey]:
         """Basis Maurer-Cartan symbols up to mc_order left unresolved."""
-        return [key for key in self.engine.mcrel.basis(mc_order) if key not in self.resolved]
-
-    def resolved_value(self, key: JetKey, max_stratum: Optional[int] = None) -> Optional[ExteriorForm]:
-        got = self.resolved.get(key)
-        if got is None:
-            return None
-        form, stratum = got
-        if max_stratum is not None and stratum > max_stratum:
-            return None
-        return form
+        return [key for key in self.engine.system.basis_jets(mc_order) if key not in self.resolved]
 
     def reduce(self, form: ExteriorForm, max_stratum: Optional[int] = None) -> ExteriorForm:
-        """Substitute resolved basis Maurer-Cartan symbols into a form, chasing
-        chains of resolutions to a fixed point.
+        """Substitute resolved basis Maurer-Cartan symbols (of strata up to
+        ``max_stratum``, if given) into a form, chasing chains of resolutions
+        to a fixed point.
 
         Values are stored as solved within their stratum, so an early value may
         mention a symbol that a later stratum resolves; iteration (which always
@@ -169,12 +163,9 @@ class FrameState:
         while True:
             mapping = {}
             for sid in form.symbols():
-                sym = fc.by_id(sid)
-                if sym.kind != "mc":
-                    continue
-                value = self.resolved_value((sym.index[0], sym.index[2]), max_stratum)
-                if value is not None:
-                    mapping[sid] = value
+                got = self.resolved.get(fc.by_id(sid).key)
+                if got is not None and (max_stratum is None or got[1] <= max_stratum):
+                    mapping[sid] = got[0]
             if not mapping:
                 return form
             form = substitute(form, mapping)
@@ -187,17 +178,15 @@ class FrameState:
 class RecurrenceEngine:
     """Produces recurrence relations and frames for one problem."""
 
-    def __init__(self, mcrel: MCRelationSet, cs: CrossSection, fc: Optional[FormContext] = None):
-        self.mcrel = mcrel
-        self.system = mcrel.system
-        self.jc = mcrel.jc
+    def __init__(self, system: DeterminingSystem, cs: CrossSection, fc: Optional[FormContext] = None):
+        self.system = system
+        self.jc = system.jc
         self.cs = cs
         self.fc = fc if fc is not None else FormContext(self.jc)
         self.generator = universal_generator(self.jc, self.system)
         self._mu_cache: dict[JetKey, ExteriorForm] = {}
         self._iota_cache: dict[int, tuple[Fraction, ExpKey]] = {}
         self._field_jet: dict[int, JetKey | bool] = {}
-        self._char_cache = None
 
     # -- invariantization ------------------------------------------------------
 
@@ -262,22 +251,23 @@ class RecurrenceEngine:
     # -- Maurer-Cartan expansion --------------------------------------------------
 
     def mu_form(self, key: JetKey) -> ExteriorForm:
-        """Basis expansion of mu^a_B at the invariantized base point."""
+        """Basis expansion of mu^a_B, its coefficients evaluated on the
+        cross-section."""
         got = self._mu_cache.get(key)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._mu_cache[key] = mc_expansion(self.fc, self.system, key, self.iota)
+        return got
+
+    def horizontal(self, alpha: int, J: Counts) -> ExteriorForm:
+        """The horizontal part of d(u^alpha_J) on the cross-section:
+        sum_j iota(u^alpha_{J,j}) omega^j."""
         fc = self.fc
-        if self.mcrel.is_basis(key):
-            out = fc.one_form(fc.mc(key[0], key[1]))
-        else:
-            out = fc.form()
-            for k2, coeff in self.mcrel.relation(key).items():
-                value = self.iota(coeff)
-                if value.is_zero():
-                    continue
-                out = out + fc.one_form(fc.mc(k2[0], k2[1])).scale(value)
-        self._mu_cache[key] = out
-        return out
+        out = {}
+        for j in range(self.jc.p):
+            coeff = self.iota_coord(("u", alpha, mi_bump(J, j)))
+            if coeff:
+                out[(fc.omega(j).sid,)] = coeff
+        return ExteriorForm(fc, out)
 
     # -- recurrence relations --------------------------------------------------------
 
@@ -323,14 +313,8 @@ class RecurrenceEngine:
             rhs = fc.one_form(fc.omega(i)) + self.mu_form((i, mi_zero(self.system.m)))
             return RecurrenceRelation(subject, rhs)
         alpha, J = subject[1], subject[2]
-        rhs = fc.form()
-        for j in range(self.jc.p):
-            coeff = self.iota_coord(("u", alpha, mi_bump(J, j)))
-            if not coeff.is_zero():
-                rhs = rhs + fc.one_form(fc.omega(j)).scale(coeff)
-        phi = self.generator.prolong(alpha, J)
-        rhs = rhs + self.lift_linear(phi)
-        return RecurrenceRelation(subject, rhs)
+        horizontal = self.horizontal(alpha, J)
+        return RecurrenceRelation(subject, horizontal + self.lift_linear(self.generator.prolong(alpha, J)))
 
     # -- normalization -----------------------------------------------------------------
 
@@ -362,7 +346,7 @@ class RecurrenceEngine:
                 return not c.is_zero()
             if invertible_extra is not None and invertible_extra(c):
                 return True
-            vars_used = c.num.variables() | c.den.variables()
+            vars_used = c.variables()
             return bool(vars_used) and vars_used <= nonvanishing_vars
 
         for stratum in range(inv_order + 1):
@@ -384,7 +368,7 @@ class RecurrenceEngine:
         fc = self.fc
 
         def max_mc_order(form: ExteriorForm) -> int:
-            orders = [fc.by_id(s).index[1] for s in form.symbols() if fc.by_id(s).kind == "mc"]
+            orders = [mi_order(key[1]) for key in (fc.by_id(s).key for s in form.symbols()) if key]
             return max(orders) if orders else -1
 
         # Relations touching only low-order Maurer-Cartan symbols make the
@@ -396,12 +380,10 @@ class RecurrenceEngine:
         seen = set()
         for form in relations:
             for sid in form.symbols():
-                sym = fc.by_id(sid)
-                if sym.kind == "mc":
-                    key = (sym.index[0], sym.index[2])
-                    if key not in seen:
-                        seen.add(key)
-                        unknown_keys.append(key)
+                key = fc.by_id(sid).key
+                if key and key not in seen:
+                    seen.add(key)
+                    unknown_keys.append(key)
         # Highest-order columns first: a relation pairing a low-order form with
         # a truncation-boundary symbol then pivots the boundary symbol, leaving
         # the low-order form for the clean phantom that determines it (this is
@@ -414,22 +396,15 @@ class RecurrenceEngine:
             row = [self.jc.ratfn(0)] * len(unknown_keys)
             omega_part = fc.form()
             for word, c in form.terms.items():
-                sym = fc.by_id(word[0]) if len(word) == 1 else None
-                if sym is not None and sym.kind == "mc":
-                    row[columns[(sym.index[0], sym.index[2])]] = c
+                key = fc.by_id(word[0]).key if len(word) == 1 else None
+                if key:
+                    row[columns[key]] = c
                 else:
                     omega_part = omega_part + ExteriorForm(fc, {word: c})
             rows.append(row)
             rhs.append(-omega_part)
         matrix = ExactMatrix(rows, unknown_keys)
-        result = solve_linear(
-            matrix,
-            rhs,
-            invertible=invertible,
-            add=lambda a, b: a + b,
-            scale=lambda c, v: v.scale(c),
-            strict=False,
-        )
+        result = solve_linear(matrix, rhs, invertible=invertible, scale=lambda c, v: v.scale(c))
         for key, (omega_value, coeffs) in result.solved.items():
             value = omega_value
             for other, coeff in coeffs.items():
@@ -439,8 +414,7 @@ class RecurrenceEngine:
         if result.blocked:
             names = []
             for label, blocker in result.blocked:
-                vars_used = blocker.num.variables() | blocker.den.variables()
-                names.extend(self.jc.ctx.var_by_id(v).name for v in sorted(vars_used))
+                names.extend(self.jc.ctx.var_by_id(v).name for v in sorted(blocker.variables()))
             state.blocked.append(BranchingRequired(sorted(set(names))))
         for coeffs, leftover in result.residual:
             if coeffs:
@@ -454,21 +428,23 @@ class RecurrenceEngine:
         rec = self.recurrence(subject)
         return RecurrenceRelation(subject, state.reduce(rec.rhs))
 
+    def invariant_coords(self, order: int) -> list[Coord]:
+        """The coordinates whose invariants stay free: every x^i, then each
+        u-jet up to ``order`` that the cross-section leaves free."""
+        coords: list[Coord] = [("x", i) for i in range(self.jc.p)]
+        for alpha in range(self.jc.q):
+            for J in mi_up_to(self.jc.p, order):
+                if self.cs.value(("u", alpha, J)) is None:
+                    coords.append(("u", alpha, J))
+        return coords
+
     def invariant_differential(self, state: FrameState, inv_order: int, vids: set[int]) -> dict[int, ExteriorForm]:
         """Map invariant-variable id -> its reduced recurrence form, for the
-        ids in ``vids`` that belong to an eligible coordinate: an x^i, or a
-        free or nonvanishing u-jet up to ``inv_order``.
+        ids in ``vids`` that belong to a coordinate of ``invariant_coords``.
 
-        Every eligible coordinate's invariant variable is registered first,
-        in a fixed order, so variable ids do not depend on ``vids``."""
-        coords: dict[int, Coord] = {}
-        for i in range(self.jc.p):
-            coords[self.jc.invariant_var(("x", i)).vid] = ("x", i)
-        for alpha in range(self.jc.q):
-            for J in mi_up_to(self.jc.p, inv_order):
-                coord = ("u", alpha, J)
-                if self.cs.value(coord) is None:
-                    coords[self.jc.invariant_var(coord).vid] = coord
+        Every such coordinate's invariant variable is registered first, in a
+        fixed order, so variable ids do not depend on ``vids``."""
+        coords = {self.jc.invariant_var(coord).vid: coord for coord in self.invariant_coords(inv_order)}
         return {vid: self.reduced_recurrence(coord, state).rhs for vid, coord in coords.items() if vid in vids}
 
     def audit_d_squared(self, state: FrameState, eqs: EquationSet, inv_order: int):
@@ -483,13 +459,13 @@ class RecurrenceEngine:
         for rhs in eqs.equations.values():
             if eqs.closed(rhs):
                 for c in rhs.terms.values():
-                    vids |= c.num.variables() | c.den.variables()
+                    vids |= c.variables()
         diff_map = self.invariant_differential(state, inv_order, vids)
         fc = self.fc
 
         def coeff_rule(c: RatFn) -> ExteriorForm:
             out = fc.form()
-            for vid in sorted(c.num.variables() | c.den.variables()):
+            for vid in sorted(c.variables()):
                 var = self.jc.ctx.var_by_id(vid)
                 if self.jc.decode(var)[0] != "inv":
                     raise ExactError(f"cannot differentiate coefficient {var.name}")
@@ -508,37 +484,23 @@ def normalized_structure_equations(
     engine: RecurrenceEngine,
     state: FrameState,
     restricted: EquationSet,
-    keep_mc: Iterable[JetKey] = (),
+    keep_mc: Iterable[JetKey],
 ) -> EquationSet:
     """Pull back a restricted equation set by the frame: sigma^i -> omega^i,
-    sigma^{p+alpha} -> sum_j iota(u^alpha_j) omega^j, resolved Maurer-Cartan
-    symbols -> their frame values, coefficients evaluated on the cross-section.
+    sigma^{p+alpha} -> the horizontal part of d(u^alpha), resolved
+    Maurer-Cartan symbols -> their frame values, coefficients evaluated on the
+    cross-section.
 
     Returns equations for d(omega^i) and for the residual Maurer-Cartan forms
-    listed in ``keep_mc`` (plus any requested resolved symbols are dropped)."""
+    listed in ``keep_mc`` (every unresolved one when ``keep_mc`` is empty)."""
     fc = engine.fc
-    jc = engine.jc
-    p, q = jc.p, jc.q
-    mapping: dict[int, ExteriorForm] = {}
-    for i in range(p):
-        mapping[fc.sigma(i).sid] = fc.one_form(fc.omega(i))
-    for alpha in range(q):
-        rhs = fc.form()
-        for j in range(p):
-            coeff = engine.iota_coord(("u", alpha, mi_bump(mi_zero(p), j)))
-            if not coeff.is_zero():
-                rhs = rhs + fc.one_form(fc.omega(j)).scale(coeff)
-        mapping[fc.sigma(p + alpha).sid] = rhs
+    p = engine.jc.p
+    sigma_map = {fc.sigma(i).sid: fc.one_form(fc.omega(i)) for i in range(p)}
+    for alpha in range(engine.jc.q):
+        sigma_map[fc.sigma(p + alpha).sid] = engine.horizontal(alpha, mi_zero(p))
 
     def resolve_symbols(form: ExteriorForm) -> ExteriorForm:
-        local = dict(mapping)
-        for sid in form.symbols():
-            sym = fc.by_id(sid)
-            if sym.kind == "mc":
-                value = state.resolved_value((sym.index[0], sym.index[2]))
-                if value is not None:
-                    local[sid] = value
-        return substitute(form, local, coeff_sub=engine.iota)
+        return state.reduce(substitute(form, sigma_map, coeff_sub=engine.iota))
 
     out = EquationSet(fc)
     keep = set(keep_mc)
@@ -548,11 +510,10 @@ def normalized_structure_equations(
             if a < p:
                 out.set(fc.omega(a), resolve_symbols(rhs))
             continue
-        if sym.kind == "mc":
-            key = (sym.index[0], sym.index[2])
-            if key in state.resolved:
+        if sym.key is not None:
+            if sym.key in state.resolved:
                 continue
-            if keep and key not in keep:
+            if keep and sym.key not in keep:
                 continue
             out.set(sym, resolve_symbols(rhs))
     for key in keep:
@@ -576,7 +537,7 @@ def commutator_invariants(engine: RecurrenceEngine, eqs: EquationSet):
             raise ExactError(f"no structure equation for {fc.omega(k).name}")
         for sid in rhs.symbols():
             sym = fc.by_id(sid)
-            if sym.kind == "mc":
+            if sym.key is not None:
                 residual_syms.append(sym)
         for i in range(p):
             for j in range(i + 1, p):
@@ -640,9 +601,9 @@ def _frame_value_tpoly(engine: RecurrenceEngine, key: JetKey, value: ExteriorFor
         sym = engine.fc.by_id(word[0])
         if sym.kind == "omega":
             continue
-        if sym.kind != "mc" or not coeff.is_constant():
+        if sym.key is None or not coeff.is_constant():
             return None
-        k2 = (sym.index[2], sym.index[0])
+        k2 = (sym.key[1], sym.key[0])
         terms[k2] = terms.get(k2, Q(0)) - coeff.constant_value()
     return TPoly(engine.system.m, terms)
 

@@ -220,17 +220,6 @@ class JetContext:
     def rvar(self, var: Variable) -> RatFn:
         return RatFn(self.ctx.poly_var(var), self.ctx.poly(1), _normalized=True)
 
-    def jet_order(self, f: Poly | RatFn) -> int:
-        """Highest jet order appearing in f (dependent jets only)."""
-        polys = (f.num, f.den) if isinstance(f, RatFn) else (f,)
-        order = 0
-        for p in polys:
-            for vid in p.variables():
-                var = self.ctx.var_by_id(vid)
-                if var.skey[0] == 1:
-                    order = max(order, var.skey[1])
-        return order
-
     # -- total derivatives ------------------------------------------------------
 
     def _coord_derivative(self, coord: Coord, i: int) -> Poly:

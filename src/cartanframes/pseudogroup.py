@@ -19,10 +19,7 @@ from .jets import (
     Counts,
     Field,
     JetContext,
-    coord_u,
-    coord_x,
     lifted_total_derivative_matrix,
-    mi_add,
     mi_bump,
     mi_divides,
     mi_order,
@@ -203,7 +200,8 @@ class MCRelationSet:
 
     The relation data is shared with the source system; only the coefficient
     variables change (base coordinates become their invariantized
-    counterparts)."""
+    counterparts).  The lift feeds the restricted structure equations and the
+    ``lift`` report; the recurrence engine evaluates the system directly."""
 
     def __init__(self, system: DeterminingSystem):
         self.system = system
@@ -221,32 +219,9 @@ class MCRelationSet:
     def lift_coeff(self, f: RatFn) -> RatFn:
         return f.subs(self._lift_map)
 
-    def is_basis(self, key: JetKey) -> bool:
-        return not self.system.is_solved(key)
-
-    def basis(self, order: int) -> list[JetKey]:
-        return self.system.basis_jets(order)
-
     def relation(self, key: JetKey) -> LinComb:
         """Lifted, fully reduced right side of a solved MC symbol."""
         return {k: self.lift_coeff(c) for k, c in self.system.relation(key).items()}
-
-    def relation_one_step(self, key: JetKey) -> Optional[LinComb]:
-        """Lifted right side as originally written (one substitution step)."""
-        rhs = self.system.original.get(key)
-        if rhs is None:
-            return None
-        return {k: self.lift_coeff(c) for k, c in rhs.items()}
-
-    def unlift(self, key: JetKey, lc: LinComb) -> tuple[LinComb, LinComb]:
-        """Substitute iota(z) -> z, mu -> zeta: returns (lhs, rhs) determining
-        relation for consistency checks."""
-        unmap = {}
-        for coord in self.system.base_coords:
-            zvar = self.jc.coord_var(coord)
-            ivar = self.jc.invariant_var(coord)
-            unmap[ivar.vid] = self.jc.pvar(zvar)
-        return {key: self.jc.ratfn(1)}, {k: c.subs(unmap) for k, c in lc.items()}
 
 
 def lift_system(system: DeterminingSystem) -> MCRelationSet:

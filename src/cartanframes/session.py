@@ -1,5 +1,9 @@
-"""One problem through the method's chain: determining system -> lift ->
-recurrence engine -> phantom normalization -> normalized coframe.
+"""One problem through the method's chain: determining system -> recurrence
+engine -> phantom normalization -> normalized coframe.
+
+The engine evaluates the determining system on the cross-section directly.
+The lift of the system (``Session.mc``) feeds only the restricted structure
+equations and the ``lift`` report.
 
 Each stage is built on first use and kept, so a caller pays only for the
 stages it reads::
@@ -53,6 +57,7 @@ class Session:
 
     @cached_property
     def mc(self) -> MCRelationSet:
+        """The lift, for the restricted structure equations and ``lift``."""
         return lift_system(self.system)
 
     @cached_property
@@ -66,12 +71,12 @@ class Session:
 
     @cached_property
     def engine(self) -> RecurrenceEngine:
-        return RecurrenceEngine(self.mc, self.cs, fc=self.fc)
+        return RecurrenceEngine(self.system, self.cs, fc=self.fc)
 
     @cached_property
     def raw_engine(self) -> RecurrenceEngine:
         """An engine on the empty cross-section: unnormalized recurrences."""
-        return RecurrenceEngine(self.mc, CrossSection(self.jc), fc=self.fc)
+        return RecurrenceEngine(self.system, CrossSection(self.jc), fc=self.fc)
 
     @cached_property
     def state(self) -> FrameState:

@@ -46,6 +46,7 @@ def _record(criterion, ok, detail=""):
 def test_criterion_1_lift_fidelity():
     from cartanframes.pseudogroup import lift_system
     from conftest import load_problem
+    from lifting import relation_one_step
 
     ok = True
     # contact relations, as printed (formal substitution of the as-printed system)
@@ -65,7 +66,7 @@ def test_criterion_1_lift_fidelity():
         (0, (1, 0, 0, 0)): -P,
         (0, (0, 1, 0, 0)): P * P,
     }
-    ok &= mc.relation_one_step((3, (0, 0, 0, 0))) == {
+    ok &= relation_one_step(mc, (3, (0, 0, 0, 0))) == {
         (2, (1, 0, 0, 0)): one,
         (2, (0, 1, 0, 0)): P,
         (2, (0, 0, 1, 0)): Qv,

@@ -11,7 +11,6 @@ from cartanframes.exact import (
     Context,
     ExactError,
     ExactMatrix,
-    InconsistentSystemError,
     Poly,
     RatFn,
     _entry_is_zero,
@@ -23,6 +22,7 @@ from cartanframes.exact import (
     rank,
     solve_linear,
 )
+from cartanframes.jets import JetContext
 
 
 @pytest.fixture()
@@ -179,9 +179,11 @@ def test_solve_linear_blocked_and_allowed():
 
 
 def test_solve_linear_contradiction():
+    """A row without unknowns (0 = 3) comes back as a residual."""
     m = ExactMatrix([[Fraction(0)]], ["x"])
-    with pytest.raises(InconsistentSystemError):
-        solve_linear(m, [Fraction(3)])
+    res = solve_linear(m, [Fraction(3)])
+    assert res.solved == {}
+    assert res.residual == [({}, 3)]
 
 
 small_polys = st.builds(
@@ -312,6 +314,56 @@ def test_ratfn_difference_with_a_long_gcd_remainder_sequence():
 
 def _monic_of(p):
     return p * (1 / p.leading_coeff())
+
+
+def _stalling_pair():
+    """Two coprime polynomials of degree 5 and 10 in x, p, q whose primitive
+    remainder sequence runs for tens of seconds, and x*q + p + 1."""
+    jc = JetContext(["x", "u", "p"], ["q"])
+    x, p = jc.pvar(jc.x_var(0)), jc.pvar(jc.x_var(2))
+    q = jc.pvar(jc.u_var(0, (0, 0, 0)))
+    one = jc.poly(1)
+    a = x**2 * p**3 + 3 * x * p**4 + Fraction(3, 2) * p**4 + jc.poly(Fraction(1, 3))
+    b = (Fraction(1, 3) * p**5 + 2 * x * q) ** 2 + one
+    return a, b, x * q + p + one, (x, p, q, one)
+
+
+def test_coprime_images_skip_the_remainder_sequence(monkeypatch):
+    import cartanframes.exact
+
+    a, b, _, _ = _stalling_pair()
+    monkeypatch.setattr(cartanframes.exact, "_prs_gcd", _fail_call)
+    assert poly_gcd(a, b) == a.ctx.poly(1)
+
+
+def test_a_common_factor_survives_the_coprimality_test():
+    a, b, h, (x, p, q, one) = _stalling_pair()
+    assert poly_gcd(h * (x + p), h * (q * q + one)) == h
+    assert poly_gcd(a * h, b * h) == h
+
+
+def _fail_call(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@given(small_polys, small_polys, small_polys)
+@settings(max_examples=60, deadline=None)
+def test_gcd_with_and_without_the_coprimality_test_agree(sf, sg, sh):
+    """The evaluation test only ever answers "coprime" when the remainder
+    sequence would have found a gcd of 1."""
+    from unittest import mock
+
+    import cartanframes.exact
+
+    ctx = Context()
+    x = ctx.poly_var(ctx.variable("x"))
+    u = ctx.poly_var(ctx.variable("u"))
+    f, g, h = (_poly_of(ctx, x, u, s) for s in (sf, sg, sh))
+    a, b = f * h, g * h
+    got = poly_gcd(a, b)
+    with mock.patch.object(cartanframes.exact, "_images_coprime", lambda pa, pb: False):
+        want = poly_gcd(a, b)
+    assert got == want
 
 
 @given(st.fractions(min_value=-9, max_value=9, max_denominator=12), st.integers(min_value=1, max_value=12))

@@ -400,7 +400,7 @@ def test_reduction_confluence(point_universal):
     for key in system.solved_jets(2):
         direct = fr.state.mu_value(key)
         alt = fr.fc.form()
-        for key2, coeff in fr.engine.mcrel.relation(key).items():
+        for key2, coeff in fr.mc.relation(key).items():
             value = fr.engine.iota(coeff)
             if value.is_zero():
                 continue

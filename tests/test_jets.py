@@ -78,12 +78,18 @@ def test_iterated_derivative_order_independent(ode_jets):
     assert a == b
 
 
+def jet_order(jc, f) -> int:
+    """Highest jet order of a dependent-variable jet in the polynomial f."""
+    orders = [jc.ctx.var_by_id(vid).skey for vid in f.variables()]
+    return max([skey[1] for skey in orders if skey[0] == 1], default=0)
+
+
 def test_order_growth(plane):
     f = plane.pvar(plane.u_var(0, (2,)))
-    assert plane.jet_order(f) == 2
-    assert plane.jet_order(plane.total_derivative(f, 0)) == 3
+    assert jet_order(plane, f) == 2
+    assert jet_order(plane, plane.total_derivative(f, 0)) == 3
     g = plane.pvar(plane.x_var(0))
-    assert plane.jet_order(plane.total_derivative(g, 0)) == 0
+    assert jet_order(plane, plane.total_derivative(g, 0)) == 0
 
 
 def test_dhat_expansion_example(ode_jets):
@@ -112,7 +118,7 @@ def test_dhat_expansion_example(ode_jets):
     d2 = jc.total_derivative(d1, 0) + pvar * jc.total_derivative(d1, 1) + q0 * jc.total_derivative(d1, 2)
     assert dhat(jet(0, 0, 2)) == d1
     assert dhat(d1) == d2
-    assert jc.jet_order(expr) == 4
+    assert jet_order(jc, expr) == 4
     assert not expr.is_zero()
 
 

@@ -21,6 +21,7 @@ from cartanframes.exterior import (
 )
 from cartanframes.frames import CrossSection, RecurrenceEngine
 from cartanframes.jets import JetContext, mi_bump, mi_factorial, mi_up_to, mi_zero
+from cartanframes.pseudogroup import lift_system
 from conftest import session
 
 
@@ -66,14 +67,14 @@ def _engine():
     coordinates at zero, some at nonzero (also non-integer) constants, and
     leaves the rest free."""
     s = session("point")
-    jc, mc = s.jc, s.mc
+    jc = s.jc
     cs = CrossSection(jc)
     cs.normalize_coord(("x", 0), Fraction(1, 2))
     cs.normalize_coord(("x", 1), 0)
     cs.normalize_coord(("u", 0, (0, 0, 0)), -3)
     cs.normalize_coord(("u", 0, (1, 0, 0)), Fraction(2, 3))
     cs.normalize_coord(("u", 0, (0, 0, 1)), 0)
-    return RecurrenceEngine(mc, cs)
+    return RecurrenceEngine(s.system, cs)
 
 
 ENGINE = _engine()
@@ -134,7 +135,7 @@ def test_iota_of_a_lifted_coefficient_is_its_cross_section_value(p, var, e):
     # no base coordinate is fixed at a root of z^e + 1
     f = RatFn(p, JC.ctx.poly_var(var, e) + JC.poly(1))
     value = ENGINE.iota(f)
-    assert ENGINE.iota(ENGINE.mcrel.lift_coeff(f)) == value
+    assert ENGINE.iota(lift_system(ENGINE.system).lift_coeff(f)) == value
     assert ENGINE.iota(value) == value
 
 
@@ -341,11 +342,11 @@ def oracle_restrict_to_pseudogroup(eqs, mcrel):
     mapping = {}
     for sid in set().union(*[rhs.symbols() for rhs in eqs.equations.values()]):
         sym = fc.by_id(sid)
-        if sym.kind == "mc" and not mcrel.is_basis((sym.index[0], sym.index[2])):
+        if sym.kind == "mc" and mcrel.system.is_solved((sym.index[0], sym.index[2])):
             mapping[sid] = mc_form((sym.index[0], sym.index[2]))
     out = EquationSet(fc)
     for sym, rhs in eqs.items():
-        if sym.kind == "mc" and not mcrel.is_basis((sym.index[0], sym.index[2])):
+        if sym.kind == "mc" and mcrel.system.is_solved((sym.index[0], sym.index[2])):
             continue
         out.set(sym, oracle_substitute(rhs, mapping))
     return out

@@ -83,7 +83,6 @@ det { xi = 0; xi = eta; }
 
 def test_cross_section_prefix_violation_reported():
     from cartanframes.frames import CrossSectionError
-    from cartanframes.pseudogroup import lift_system
     from cartanframes.frames import RecurrenceEngine
 
     text = """
@@ -95,7 +94,7 @@ xsec { u_x2 = 0; x = 0; }
 """
     pf = parse_problem(text)
     jc, system, cs = pf.build()
-    engine = RecurrenceEngine(lift_system(system), cs)
+    engine = RecurrenceEngine(system, cs)
     with pytest.raises(CrossSectionError):
         engine.normalize(2)
 
