@@ -1,14 +1,17 @@
-"""Golden reports: the full report text of the structure, lift, coframe,
-recurrence, normalize and cartan-test commands, compared byte for byte.
+"""Golden reports: the full report text of every command, the canonical
+``print`` of every shipped problem and the stdout of the walkthrough scripts,
+compared byte for byte.
 
-The files under ``tests/golden/`` are the reports as the code produced them
-before a refactor or optimization of the layers behind them; any change to a
-report, however small, fails here.  Each file is named
-``<problem>_<command>[_<flag>_<value>...].txt``.
+The files under ``tests/golden/`` are the outputs as the code produced them
+before a refactor or optimization of the layers behind them; any change to an
+output, however small, fails here.  A report of a shipped problem at given
+flags is named ``<problem>_<command>[_<flag>_<value>...].txt``; the other
+outputs are named in ``OTHER`` and ``SCRIPTS``.
 """
 
 import io
 import pathlib
+import runpy
 from contextlib import redirect_stdout
 
 import pytest
@@ -16,7 +19,9 @@ import pytest
 from cartanframes import cli
 from conftest import PROBLEMS
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+TESTS = pathlib.Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+SCRIPTS_DIR = TESTS.parent / "scripts"
 
 # The structure and lift inputs of the benchmark's algebra workload, and the
 # deep coframe and normalize runs.
@@ -49,6 +54,21 @@ DEFAULTS = [
 # Exit 2 at the default orders: the d^2 audit fails (truncation for the point
 # problems, a true negative for contact_asprinted).
 EXIT_2 = {"point", "point_branch1", "point_branch4", "contact_asprinted"}
+# (golden name, command line): the canonical print of every shipped problem,
+# and the commands whose inputs are not the shipped problems at CLI flags
+# alone.  spoly0.prob is the benchmark's seed-1 groebner input.
+OTHER = [(f"{p.stem}_print", ["print", str(p)]) for p in sorted(PROBLEMS.glob("*.prob"))] + [
+    ("point_classify-ode_rhs", ["run", str(PROBLEMS / "point.prob"), "classify-ode", "--rhs", "p^4 + x*p"]),
+    ("twoform_case1_cartan-test_m_3", ["run", str(PROBLEMS / "twoform_case1.prob"), "cartan-test", "--m", "3"]),
+    ("twoform_case21_cartan-test_m_3", ["run", str(PROBLEMS / "twoform_case21.prob"), "cartan-test", "--m", "3"]),
+    *(
+        (f"contact_signature-compare_{which}", ["run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(PROBLEMS / f"signature_{which}.json")])
+        for which in ("equal", "distinct")
+    ),
+    ("spoly0_groebner", ["run", str(TESTS / "spoly0.prob"), "groebner"]),
+]
+# The walkthrough scripts, each golden named after its script.
+SCRIPTS = ["run_contact_ode", "run_involutivity", "run_point_ode"]
 
 
 def _golden_name(problem, command, flags):
@@ -64,6 +84,24 @@ def test_report_matches_golden(problem, command, flags):
     assert buf.getvalue() == (GOLDEN / _golden_name(problem, command, flags)).read_text()
 
 
+@pytest.mark.parametrize("name, argv", OTHER, ids=[name for name, _ in OTHER])
+def test_output_matches_golden(name, argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == 0
+    assert buf.getvalue() == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_walkthrough_stdout_matches_golden(script):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        runpy.run_path(str(SCRIPTS_DIR / f"{script}.py"), run_name="__main__")
+    assert buf.getvalue() == (GOLDEN / f"{script}.txt").read_text()
+
+
 def test_every_golden_file_is_checked():
     names = {_golden_name(*case) for case in DEEP + DEFAULTS}
+    names |= {f"{name}.txt" for name, _ in OTHER} | {f"{script}.txt" for script in SCRIPTS}
     assert names == {p.name for p in GOLDEN.glob("*.txt")}
