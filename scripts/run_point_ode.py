@@ -29,7 +29,7 @@ def main():
     section("raw order-0 recurrence relations")
     raw = load("point").raw_engine
     for coord, label in [(("x", 0), "dX"), (("x", 1), "dU"), (("x", 2), "dP"), (("u", 0, (0, 0, 0)), "dQ")]:
-        print(f"{label} = {raw.recurrence(coord).rhs.pretty()}")
+        print(f"{label} = {raw.recurrence(coord).pretty()}")
 
     section("universal frame: resolved Maurer-Cartan forms of order <= 3")
     fr = load("point", order=5, mc_order=2)
@@ -43,7 +43,7 @@ def main():
     for counts in [(0, 0, 4), (2, 0, 2), (0, 0, 5), (1, 0, 4), (0, 1, 4), (2, 0, 3), (2, 1, 2), (3, 0, 2)]:
         rec = fr.engine.reduced_recurrence(("u", 0, counts), fr.state)
         name = fr.jc.ctx.var_by_id(fr.jc.invariant_var(("u", 0, counts)).vid).name
-        print(f"d{name} = {rec.rhs.pretty()}")
+        print(f"d{name} = {rec.pretty()}")
 
     section("generic branch: invariant coframe")
     b1 = load("point_branch1", order=5, mc_order=2)

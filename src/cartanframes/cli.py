@@ -37,7 +37,7 @@ from .involution import (
     t_homogeneous_component,
 )
 from .jets import JetContext, mi_order
-from .problem import ParseError, ProblemFile, _ExprParser, _field_jet_token, _Tokens, parse_problem, print_problem
+from .problem import ParseError, ProblemFile, _ExprParser, _Tokens, parse_problem, print_problem
 from .session import Session
 
 
@@ -58,28 +58,24 @@ class Report:
         return f"{body}\ndigest = sha256:{digest}\n"
 
 
-def _field_jet_name(pf: ProblemFile, key) -> str:
-    return _field_jet_token(pf, key[0], key[1])
-
-
 def cmd_lift(pf: ProblemFile, args, report: Report) -> int:
     session = Session(pf)
-    system, mc = session.system, session.mc
+    jc, system, mc = session.jc, session.system, session.mc
     order = args.order if args.order is not None else 1
     system.prolong(order)
     count = 0
     for key in system.solved_jets(order):
         rhs = mc.relation(key)
         parts = []
-        for (f2, B2), coeff in sorted(rhs.items()):
+        for key2, coeff in sorted(rhs.items()):
             cs_str = format_ratfn(coeff)
-            tok = f"mu[{_field_jet_name(pf, (f2, B2))}]"
+            tok = f"mu[{jc.field_jet_name(*key2)}]"
             parts.append(f"({cs_str})*{tok}" if cs_str not in ("1",) else tok)
-        report.add(f"lift.mu[{_field_jet_name(pf, key)}]", " + ".join(parts) if parts else "0")
+        report.add(f"lift.mu[{jc.field_jet_name(*key)}]", " + ".join(parts) if parts else "0")
         count += 1
     report.add("lift.relation_count", count)
     basis = system.basis_jets(order)
-    report.add("lift.basis", ", ".join(_field_jet_name(pf, k) for k in basis))
+    report.add("lift.basis", ", ".join(jc.field_jet_name(*k) for k in basis))
     return 0
 
 
@@ -99,7 +95,7 @@ def cmd_recurrence(pf: ProblemFile, args, report: Report) -> int:
     else:
         engine, state = session.engine, session.state
     for coord in engine.invariant_coords(order):
-        rhs = engine.reduced_recurrence(coord, state).rhs
+        rhs = engine.reduced_recurrence(coord, state)
         report.add(f"recurrence.d({session.jc.invariant_var(coord).name})", rhs.pretty())
     return 0
 
@@ -328,6 +324,13 @@ def _partial_operator(jc: JetContext, params, i: int):
     return op
 
 
+def _check_ranges(args) -> None:
+    """A negative ``--order``/``--mc-order`` or an ``--m`` below 1 is a usage error."""
+    for option, value, least in (("--order", args.order, 0), ("--mc-order", args.mc_order, 0), ("--m", args.m, 1)):
+        if value is not None and value < least:
+            raise UsageError(f"{option} must be at least {least}, got {value}")
+
+
 COMMANDS = {
     "lift": cmd_lift,
     "structure": cmd_structure,
@@ -382,6 +385,7 @@ def main(argv=None) -> int:
 
     report = Report(args.command)
     try:
+        _check_ranges(args)
         code = COMMANDS[args.command](pf, args, report)
     except ParseError as err:
         print(f"{args.file}:{err}", file=sys.stderr)

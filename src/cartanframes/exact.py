@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Q = Fraction
 QZERO = Fraction(0)
@@ -307,28 +307,54 @@ class Poly:
 
 def format_poly(p: Poly) -> str:
     """Canonical human-readable form, ordered by descending graded-lex."""
-    if p.is_zero():
-        return "0"
     parts = []
     for key in p.sorted_keys(reverse=True):
-        c = p.terms[key]
-        factors = []
-        for vid, e in sorted(key, key=lambda ve: p.ctx.var_by_id(ve[0]).skey):
-            name = p.ctx.var_by_id(vid).name
-            factors.append(name if e == 1 else f"{name}^{e}")
-        mono = "*".join(factors)
-        if not mono:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(mono)
-        elif c == -1:
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{c}*{mono}")
+        factors = sorted(key, key=lambda ve: p.ctx.var_by_id(ve[0]).skey)
+        mono = format_monomial([(p.ctx.var_by_id(vid).name, e) for vid, e in factors])
+        parts.append(format_term(str(p.terms[key]), mono))
+    return format_sum(parts)
+
+
+# -- report notation -----------------------------------------------------------
+
+
+def format_term(coeff: str, body: str) -> str:
+    """One term ``coeff*body`` of a signed sum: the coefficient alone for an
+    empty body, ``body`` and ``-body`` for the coefficients 1 and -1, and the
+    coefficient in parentheses when it is itself a sum (``format_ratfn``
+    puts spaces only around ``+`` and ``-``)."""
+    if not body:
+        return coeff
+    if coeff == "1":
+        return body
+    if coeff == "-1":
+        return f"-{body}"
+    if " + " in coeff or " - " in coeff:
+        coeff = f"({coeff})"
+    return f"{coeff}*{body}"
+
+
+def format_sum(parts: Sequence[str]) -> str:
+    """Join signed terms with ``" + "``, or ``" - "`` before a term that
+    starts with ``-``; ``0`` for no terms."""
+    if not parts:
+        return "0"
     out = parts[0]
     for piece in parts[1:]:
         out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
     return out
+
+
+def format_monomial(factors: Iterable[tuple[str, int]]) -> str:
+    """``a*b^2``: the ``*``-product of (name, exponent) pairs, exponent 0 left out."""
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in factors if e])
+
+
+def subscript(names: Sequence[str], counts: Sequence[int]) -> str:
+    """Compact jet subscript ``_x2y`` of the exponent ``counts`` over
+    ``names``, a count above 1 written after its name; empty for all zeros."""
+    sub = "".join([f"{name}{c if c > 1 else ''}" for name, c in zip(names, counts) if c])
+    return f"_{sub}" if sub else ""
 
 
 # -- gcd ---------------------------------------------------------------------

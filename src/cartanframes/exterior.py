@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from .exact import ExactError, Q, RatFn, _add_term
+from .exact import ExactError, Q, RatFn, _add_term, format_ratfn, format_sum, format_term, subscript
 from .jets import Counts, JetContext, mi_bump, mi_factorial, mi_order, mi_up_to, mi_zero
 from .pseudogroup import DeterminingSystem, JetKey
 
@@ -80,11 +80,7 @@ class FormContext:
 
     def _mc_name(self, a: int, B: Counts) -> str:
         stem = self.mc_names.get(a, f"mu^{self._coord_name(a)}")
-        if mi_order(B) == 0:
-            return stem
-        names = [self._coord_name(i).upper() for i in range(len(B))]
-        suffix = "".join(f"{names[i]}{c if c > 1 else ''}" for i, c in enumerate(B) if c)
-        return f"{stem}_{suffix}"
+        return stem + subscript([self._coord_name(i).upper() for i in range(len(B))], B)
 
     def form(self) -> "ExteriorForm":
         return ExteriorForm(self, {})
@@ -206,31 +202,9 @@ class ExteriorForm:
 
 
 def format_form(form: ExteriorForm) -> str:
-    from .exact import format_ratfn
-
-    if form.is_zero():
-        return "0"
     fc = form.fc
     items = sorted(form.terms.items(), key=lambda wc: (len(wc[0]), [fc.by_id(s).skey for s in wc[0]]))
-    parts = []
-    for word, c in items:
-        mono = "^".join(fc.by_id(s).name for s in word) if word else ""
-        cs = format_ratfn(c)
-        if not mono:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(mono)
-        elif cs == "-1":
-            parts.append(f"-{mono}")
-        else:
-            if " + " in cs or " - " in cs or cs.startswith("-") and mono:
-                if not (cs.startswith("-") and " " not in cs):
-                    cs = f"({cs})"
-            parts.append(f"{cs}*{mono}")
-    out = parts[0]
-    for piece in parts[1:]:
-        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return out
+    return format_sum([format_term(format_ratfn(c), "^".join(fc.by_id(s).name for s in word)) for word, c in items])
 
 
 def substitute(

@@ -14,7 +14,7 @@ forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import QONE, QZERO, ExactError, ExactMatrix, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
 from .exterior import (
@@ -113,17 +113,6 @@ class CrossSection:
                     "cross-section entries out of order: lower-order prefix property violated"
                 )
             last = max(last, order)
-
-
-class RecurrenceRelation:
-    """d(subject) == rhs, a one-form in omega^j and basis Maurer-Cartan symbols."""
-
-    def __init__(self, subject: Coord, rhs: ExteriorForm):
-        self.subject = subject
-        self.rhs = rhs
-
-    def __repr__(self):
-        return f"RecurrenceRelation({self.subject}: {self.rhs.pretty()})"
 
 
 class BranchingRequired:
@@ -306,15 +295,14 @@ class RecurrenceEngine:
             out = out + self.mu_form(fkey).scale(coeff)
         return out
 
-    def recurrence(self, subject: Coord) -> RecurrenceRelation:
+    def recurrence(self, subject: Coord) -> ExteriorForm:
+        """d(iota(subject)): a one-form in omega^j and basis Maurer-Cartan symbols."""
         fc = self.fc
         if subject[0] == "x":
             i = subject[1]
-            rhs = fc.one_form(fc.omega(i)) + self.mu_form((i, mi_zero(self.system.m)))
-            return RecurrenceRelation(subject, rhs)
+            return fc.one_form(fc.omega(i)) + self.mu_form((i, mi_zero(self.system.m)))
         alpha, J = subject[1], subject[2]
-        horizontal = self.horizontal(alpha, J)
-        return RecurrenceRelation(subject, horizontal + self.lift_linear(self.generator.prolong(alpha, J)))
+        return self.horizontal(alpha, J) + self.lift_linear(self.generator.prolong(alpha, J))
 
     # -- normalization -----------------------------------------------------------------
 
@@ -331,7 +319,7 @@ class RecurrenceEngine:
                     subjects.append((mi_order(J), ("u", alpha, J)))
         return subjects
 
-    def normalize(self, inv_order: int, invertible_extra: Optional[Callable[[RatFn], bool]] = None) -> FrameState:
+    def normalize(self, inv_order: int) -> FrameState:
         """Solve all phantom relations up to the working order, stratified by
         subject order (parameters are normalized as soon as possible)."""
         self.cs.validate_prefix()
@@ -344,8 +332,6 @@ class RecurrenceEngine:
         def invertible(c: RatFn) -> bool:
             if c.is_constant():
                 return not c.is_zero()
-            if invertible_extra is not None and invertible_extra(c):
-                return True
             vars_used = c.variables()
             return bool(vars_used) and vars_used <= nonvanishing_vars
 
@@ -354,8 +340,7 @@ class RecurrenceEngine:
             for order, coord in subjects:
                 if order != stratum:
                     continue
-                rec = self.recurrence(coord)
-                form = state.reduce(rec.rhs)
+                form = state.reduce(self.recurrence(coord))
                 if not form.is_zero():
                     relations.append(form)
             if not relations:
@@ -424,9 +409,8 @@ class RecurrenceEngine:
 
     # -- reduced recurrences and structure equations ------------------------------------
 
-    def reduced_recurrence(self, subject: Coord, state: FrameState) -> RecurrenceRelation:
-        rec = self.recurrence(subject)
-        return RecurrenceRelation(subject, state.reduce(rec.rhs))
+    def reduced_recurrence(self, subject: Coord, state: FrameState) -> ExteriorForm:
+        return state.reduce(self.recurrence(subject))
 
     def invariant_coords(self, order: int) -> list[Coord]:
         """The coordinates whose invariants stay free: every x^i, then each
@@ -445,7 +429,7 @@ class RecurrenceEngine:
         Every such coordinate's invariant variable is registered first, in a
         fixed order, so variable ids do not depend on ``vids``."""
         coords = {self.jc.invariant_var(coord).vid: coord for coord in self.invariant_coords(inv_order)}
-        return {vid: self.reduced_recurrence(coord, state).rhs for vid, coord in coords.items() if vid in vids}
+        return {vid: self.reduced_recurrence(coord, state) for vid, coord in coords.items() if vid in vids}
 
     def audit_d_squared(self, state: FrameState, eqs: EquationSet, inv_order: int):
         """d^2 = 0 integrability audit on a normalized equation set.

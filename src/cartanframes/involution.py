@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exact import ExactError, ExactMatrix, Q, _add_term, ordered_row_echelon, rank
+from .exact import ExactError, ExactMatrix, Q, _add_term, format_monomial, format_sum, format_term, ordered_row_echelon, rank
 from .jets import Counts, mi_add, mi_all, mi_divides, mi_order, mi_up_to, mi_zero
 
 TTerm = tuple[Counts, int]
@@ -76,24 +76,7 @@ class TPoly:
         return TPoly(self.m, {(B, a): c for (B, a), c in self.terms.items() if mi_order(B) == n})
 
     def pretty(self, names: Sequence[str]) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (B, a), c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"t_{names[i]}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(B) if e
-            )
-            body = (mono + "*" if mono else "") + f"T^{names[a]}"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        return format_sum([format_module_term("t", names, names, B, a, c) for (B, a), c in sorted(self.terms.items())])
 
     def __repr__(self):
         return f"TPoly({self.terms})"
@@ -166,20 +149,16 @@ class SPoly:
         return SPoly(self.p, self.q, {}, {(J, al): c for (J, al), c in self.terms.items() if mi_order(J) == top})
 
     def pretty(self, xnames: Sequence[str], unames: Sequence[str]) -> str:
-        parts = []
-        for i, c in sorted(self.stilde.items()):
-            body = f"s~_{xnames[i]}"
-            parts.append(body if c == 1 else (f"-{body}" if c == -1 else f"{c}*{body}"))
-        for (J, al), c in sorted(self.terms.items()):
-            mono = "*".join(f"s_{xnames[i]}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(J) if e)
-            body = (mono + "*" if mono else "") + f"S^{unames[al]}"
-            parts.append(body if c == 1 else (f"-{body}" if c == -1 else f"{c}*{body}"))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        parts = [format_term(str(c), f"s~_{xnames[i]}") for i, c in sorted(self.stilde.items())]
+        parts += [format_module_term("s", xnames, unames, J, al, c) for (J, al), c in sorted(self.terms.items())]
+        return format_sum(parts)
+
+
+def format_module_term(letter: str, names: Sequence[str], targets: Sequence[str], counts: Counts, target: int, coeff) -> str:
+    """``coeff*t_x^2*T^u``: one term of a module polynomial in the ``letter``
+    variables over ``names``, with target ``targets[target]``."""
+    factors = [(f"{letter}_{name}", e) for name, e in zip(names, counts)]
+    return format_term(str(coeff), format_monomial(factors + [(f"{letter.upper()}^{targets[target]}", 1)]))
 
 
 # -- spans over enumerated monomials ---------------------------------------------
@@ -277,21 +256,13 @@ def prolong_generators(gens: Sequence[TPoly], m: int) -> list[TPoly]:
     return out
 
 
-def cartan_test(
-    gens_n: Sequence[TPoly],
-    n: int,
-    priority: Sequence[int],
-    gens_next: Optional[Sequence[TPoly]] = None,
-):
-    """Cartan's involutivity test: rank T^{n+1} == sum_a a*beta^(a)_n.
-
-    ``gens_next`` defaults to the prolongation span t_a . gens_n; callers may
-    inject genuinely new degree-(n+1) symbols.  Returns a dict report."""
+def cartan_test(gens_n: Sequence[TPoly], n: int, priority: Sequence[int]):
+    """Cartan's involutivity test: rank T^{n+1} == sum_a a*beta^(a)_n, with
+    T^{n+1} spanned by the prolongation t_a . gens_n.  Returns a dict report."""
     m = gens_n[0].m
     beta = indices(gens_n, n, priority)
     weighted = sum(a * b for a, b in beta.items())
-    nxt = list(gens_next) if gens_next is not None else prolong_generators(gens_n, m)
-    nxt = [g for g in nxt if not g.is_zero()]
+    nxt = [g for g in prolong_generators(gens_n, m) if not g.is_zero()]
     rk = rank(symbol_matrix(nxt, n + 1, priority)) if nxt else 0
     return {
         "beta": beta,
@@ -302,15 +273,19 @@ def cartan_test(
     }
 
 
-def delta_regular_search(gens: Sequence[TPoly], n: int, max_exhaustive: int = 6):
+# delta_regular_search tries every priority up to this many variables.
+MAX_EXHAUSTIVE = 6
+
+
+def delta_regular_search(gens: Sequence[TPoly], n: int):
     """Variable priority maximizing the weighted index sum.
 
-    Exhaustive over permutations for small m; for larger m falls back to a
-    deterministic pseudo-random sample of permutations (a full Zariski-generic
-    linear change is unnecessary for the shipped fixtures)."""
+    Exhaustive over permutations for at most ``MAX_EXHAUSTIVE`` variables;
+    beyond that a deterministic pseudo-random sample of permutations (a full
+    Zariski-generic linear change is unnecessary for the shipped fixtures)."""
     m = gens[0].m
     best = None
-    if m <= max_exhaustive:
+    if m <= MAX_EXHAUSTIVE:
         candidates = itertools.permutations(range(m))
     else:
         import random

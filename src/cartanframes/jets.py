@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Context, ExactError, ExpKey, Poly, RatFn, Variable, _add_term, _merge_exp
+from .exact import Context, ExactError, ExpKey, Poly, RatFn, Variable, _add_term, _merge_exp, subscript
 
 Counts = tuple[int, ...]
 
@@ -80,10 +80,12 @@ def coord_u(alpha: int, J: Counts) -> Coord:
 class Field:
     """An unknown coefficient function of declared base coordinates."""
 
-    def __init__(self, idx: int, name: str, base: Sequence[Coord]):
+    def __init__(self, idx: int, name: str, base: Sequence[Coord], base_names: Sequence[str]):
         self.idx = idx
         self.name = name
         self.base = list(base)
+        # the subscript names of its jets, one per base coordinate
+        self.base_names = list(base_names)
 
     def __repr__(self):
         return f"Field({self.name})"
@@ -119,7 +121,7 @@ class JetContext:
         key = ("u", alpha, J)
         var = self.ctx.find(key)
         if var is None:
-            var = self.ctx.variable(self._jet_name(alpha, J), skey=(1, mi_order(J), alpha, J), intern_key=key)
+            var = self.ctx.variable(self.jet_name(alpha, J), skey=(1, mi_order(J), alpha, J), intern_key=key)
         return var
 
     def coord_var(self, coord: Coord) -> Variable:
@@ -127,19 +129,10 @@ class JetContext:
             return self.x_var(coord[1])
         return self.u_var(coord[1], coord[2])
 
-    def _jet_name(self, alpha: int, J: Counts) -> str:
-        base = self.dependents[alpha]
-        if mi_order(J) == 0:
-            return base
-        suffix = "".join(
-            f"{self.independents[i]}{c if c > 1 else ''}" for i, c in enumerate(J) if c
-        )
-        return f"{base}_{suffix}"
-
     def field(self, name: str, base: Sequence[Coord]) -> Field:
         if name in self._field_by_name:
             return self._field_by_name[name]
-        f = Field(len(self.fields), name, base)
+        f = Field(len(self.fields), name, base, [self.coord_name(c) for c in base])
         self.fields.append(f)
         self._field_by_name[name] = f
         return f
@@ -149,21 +142,9 @@ class JetContext:
         var = self.ctx.find(key)
         if var is None:
             var = self.ctx.variable(
-                self._field_jet_name(field, B), skey=(2, field.idx, mi_order(B), B), intern_key=key
+                self.field_jet_name(field.idx, B), skey=(2, field.idx, mi_order(B), B), intern_key=key
             )
         return var
-
-    def _field_jet_name(self, field: Field, B: Counts) -> str:
-        if mi_order(B) == 0:
-            return field.name
-        parts = []
-        for pos, c in enumerate(B):
-            if not c:
-                continue
-            coord = field.base[pos]
-            cname = self.independents[coord[1]] if coord[0] == "x" else self._jet_name(coord[1], coord[2])
-            parts.append(f"{cname}{c if c > 1 else ''}")
-        return f"{field.name}_{''.join(parts)}"
 
     def invariant_var(self, coord: Coord) -> Variable:
         key = ("inv",) + tuple(coord)
@@ -179,17 +160,23 @@ class JetContext:
             var = self.ctx.variable(name, skey=skey, intern_key=key)
         return var
 
+    # -- names (pure: nothing is registered) ----------------------------------
+
+    def jet_name(self, alpha: int, J: Counts) -> str:
+        return self.dependents[alpha] + subscript(self.independents, J)
+
+    def coord_name(self, coord: Coord) -> str:
+        return self.independents[coord[1]] if coord[0] == "x" else self.jet_name(coord[1], coord[2])
+
+    def field_jet_name(self, fidx: int, B: Counts) -> str:
+        field = self.fields[fidx]
+        return field.name + subscript(field.base_names, B)
+
     def _invariant_name(self, alpha: int, J: Counts) -> str:
-        base = self.dependents[alpha].upper()
-        if mi_order(J) == 0:
-            return base
-        # print subscripts in reverse declaration order (highest independent first)
-        parts = []
-        for i in range(self.p - 1, -1, -1):
-            c = J[i]
-            if c:
-                parts.append(f"{self.independents[i].upper()}{c if c > 1 else ''}")
-        return f"{base}_{''.join(parts)}"
+        """``Q_PX2``: the dependent and the subscript in capitals, highest
+        independent first."""
+        names = [n.upper() for n in reversed(self.independents)]
+        return self.dependents[alpha].upper() + subscript(names, J[::-1])
 
     def decode(self, var: Variable):
         """Inverse lookup: classify a variable back to its structural role."""

@@ -32,10 +32,10 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactError, RatFn, _add_term, format_ratfn
+from .exact import ExactError, RatFn, _add_term, format_ratfn, format_sum, format_term
 from .frames import CrossSection
-from .involution import SPoly, TPoly
-from .jets import Coord, Counts, JetContext, coord_u, coord_x, mi_order, mi_zero
+from .involution import SPoly, TPoly, format_module_term
+from .jets import Coord, Counts, JetContext, coord_u, coord_x, mi_zero
 from .pseudogroup import DeterminingSystem, LinComb
 
 
@@ -170,6 +170,24 @@ def _split_compact_subscript(sub: str, names: list[str], line: int, col: int) ->
     return tuple(counts)
 
 
+def _parse_subscript(toks: _Tokens, names: list[str], wildcard_error: str, line: int, col: int) -> Counts:
+    """The counts of an optional subscript ``_p2x`` or ``_{p^2 x}`` over
+    ``names``, all zero when there is no ``_``.  A wildcard exponent raises
+    ``wildcard_error`` at the subscripted name (``line``, ``col``)."""
+    if not toks.at("_"):
+        return mi_zero(len(names))
+    toks.next()
+    if toks.at("{"):
+        fixed = _parse_brace_subscript(toks, names)
+        if None in fixed:
+            raise ParseError(wildcard_error, line, col)
+        return fixed
+    kind, val, l2, c2 = toks.next()
+    if kind not in ("name", "num"):
+        raise ParseError("expected subscript", l2, c2)
+    return _split_compact_subscript(val, names, l2, c2)
+
+
 def _parse_brace_subscript(toks: _Tokens, names: list[str]):
     """Parse ``{ p^2 u^j x }``; returns a tuple with integers for fixed
     exponents and None for wildcard slots."""
@@ -249,39 +267,22 @@ class _ExprParser:
         self.pf = pf
         self.jc = jc
 
-    def _subscript_names(self, stem: str) -> list[str]:
-        return self.pf.base if stem in self.pf.coeffs else self.pf.independent
-
     def resolve_name(self, stem: str, line: int, col: int) -> _ExprValue:
         jc = self.jc
         toks = self.toks
         if stem not in self.pf.coeffs and stem not in self.pf.independent and stem not in self.pf.dependent:
             raise ParseError(f"unknown symbol {stem!r}", line, col)
-        sub = None
-        if toks.at("_"):
-            toks.next()
-            if toks.at("{"):
-                fixed = _parse_brace_subscript(toks, self._subscript_names(stem))
-                if any(f is None for f in fixed):
-                    raise ParseError("wildcards only appear in cross-section families", line, col)
-                sub = tuple(int(f) for f in fixed)
-            else:
-                kind2, val2, l2, c2 = toks.next()
-                if kind2 not in ("name", "num"):
-                    raise ParseError("expected subscript", l2, c2)
-                sub = _split_compact_subscript(val2, self._subscript_names(stem), l2, c2)
+        names = self.pf.base if stem in self.pf.coeffs else self.pf.independent
+        subscripted = toks.at("_")
+        sub = _parse_subscript(toks, names, "wildcards only appear in cross-section families", line, col)
         if stem in self.pf.coeffs:
-            fidx = self.pf.coeffs.index(stem)
-            B = sub if sub is not None else mi_zero(len(self.pf.base))
-            return _ExprValue(jc, jc.ratfn(0), {(fidx, B): jc.ratfn(1)})
+            return _ExprValue(jc, jc.ratfn(0), {(self.pf.coeffs.index(stem), sub): jc.ratfn(1)})
         if stem in self.pf.independent:
-            if sub is not None:
+            if subscripted:
                 raise ParseError("independent variables carry no subscripts", line, col)
             return _ExprValue(jc, jc.rvar(jc.x_var(self.pf.independent.index(stem))), {})
         if stem in self.pf.dependent:
-            alpha = self.pf.dependent.index(stem)
-            J = sub if sub is not None else mi_zero(len(self.pf.independent))
-            return _ExprValue(jc, jc.rvar(jc.u_var(alpha, J)), {})
+            return _ExprValue(jc, jc.rvar(jc.u_var(self.pf.dependent.index(stem), sub)), {})
         raise ParseError(f"unknown symbol {stem!r}", line, col)
 
     def parse_expr(self) -> _ExprValue:
@@ -387,6 +388,8 @@ def _validate_declarations(pf: ProblemFile) -> None:
         raise ParseError("base must list independents then dependents, matching split", 0, 0)
     if pf.coeffs and len(pf.coeffs) != len(pf.base):
         raise ParseError("coeffs must name one coefficient field per base variable", 0, 0)
+    if len(set(pf.coeffs)) != len(pf.coeffs):
+        raise ParseError("coeffs must name distinct coefficient fields", 0, 0)
 
 
 def _capture_statement(toks: _Tokens) -> list:
@@ -423,17 +426,7 @@ def _build(pf: ProblemFile, raw: dict[str, list]) -> None:
         if kind != "name" or stem not in pf.coeffs:
             raise ParseError("determining relation must be solved for a coefficient jet", line, col)
         fidx = pf.coeffs.index(stem)
-        B = mi_zero(len(pf.base))
-        if toks.at("_"):
-            toks.next()
-            if toks.at("{"):
-                fixed = _parse_brace_subscript(toks, pf.base)
-                if any(f is None for f in fixed):
-                    raise ParseError("wildcards not allowed in determining relations", line, col)
-                B = tuple(int(f) for f in fixed)
-            else:
-                kind2, val2, l2, c2 = toks.next()
-                B = _split_compact_subscript(val2, pf.base, l2, c2)
+        B = _parse_subscript(toks, pf.base, "wildcards not allowed in determining relations", line, col)
         toks.expect("=")
         value = parser.parse_expr()
         if not value.scalar.is_zero():
@@ -493,19 +486,8 @@ def _parse_coord(toks, pf: ProblemFile, stem: str, line: int, col: int) -> Coord
     if stem in pf.independent:
         return coord_x(pf.independent.index(stem))
     if stem in pf.dependent:
-        alpha = pf.dependent.index(stem)
-        J = mi_zero(len(pf.independent))
-        if toks.at("_"):
-            toks.next()
-            if toks.at("{"):
-                fixed = _parse_brace_subscript(toks, pf.independent)
-                if any(f is None for f in fixed):
-                    raise ParseError("wildcards not allowed here", line, col)
-                J = tuple(int(f) for f in fixed)
-            else:
-                kind2, val2, l2, c2 = toks.next()
-                J = _split_compact_subscript(val2, pf.independent, l2, c2)
-        return coord_u(alpha, J)
+        J = _parse_subscript(toks, pf.independent, "wildcards not allowed here", line, col)
+        return coord_u(pf.dependent.index(stem), J)
     raise ParseError(f"unknown coordinate {stem!r}", line, col)
 
 
@@ -610,17 +592,16 @@ def print_problem(pf: ProblemFile) -> str:
     lines.append(f"split independent {' '.join(pf.independent)} dependent {' '.join(pf.dependent)};")
     if pf.coeffs:
         lines.append(f"coeffs {' '.join(pf.coeffs)};")
-    system, cs = pf.system, pf.cross_section
+    jc, system, cs = pf.build()
     if system is not None and system.lead_list:
         lines.append("det {")
         for lead in system.lead_list:
-            tok = _field_jet_token(pf, lead[0], lead[1])
-            lines.append(f"  {tok} = {_lincomb_token(pf, system.original[lead])};")
+            lines.append(f"  {jc.field_jet_name(*lead)} = {_lincomb_token(jc, system.original[lead])};")
         lines.append("}")
     if cs is not None and (cs.entries or cs.patterns or cs.nonvanishing or cs.vanish_generators):
         lines.append("xsec {")
         for coord, value in cs.entries:
-            lines.append(f"  {_coord_token(pf, coord)} = {value};")
+            lines.append(f"  {jc.coord_name(coord)} = {value};")
         for pat in cs.patterns:
             sub = []
             wild = iter("jklmnr")
@@ -631,9 +612,9 @@ def print_problem(pf: ProblemFile) -> str:
                     sub.append(f"{name}^{f}" if f != 1 else name)
             lines.append(f"  {pf.dependent[pat.alpha]}_{{{' '.join(sub)}}} = {pat.value};")
         for coord in cs.nonvanishing:
-            lines.append(f"  assume {_coord_token(pf, coord)} != 0;")
+            lines.append(f"  assume {jc.coord_name(coord)} != 0;")
         for alpha, gen, value in cs.vanish_generators:
-            lines.append(f"  assume {_coord_token(pf, ('u', alpha, gen))} == 0;")
+            lines.append(f"  assume {jc.jet_name(alpha, gen)} == 0;")
         lines.append("}")
     if pf.print_aliases:
         lines.append("print {")
@@ -645,62 +626,10 @@ def print_problem(pf: ProblemFile) -> str:
             continue
         lines.append(f"{letter}poly {{")
         for decl in block:
-            parts = []
-            for counts, target, coeff in decl.terms:
-                mono = "*".join(
-                    f"{letter}_{varnames[i]}" + (f"^{c}" if c > 1 else "")
-                    for i, c in enumerate(counts)
-                    if c
-                )
-                body = (mono + "*" if mono else "") + f"{letter.upper()}^{targets[target]}"
-                if coeff == 1:
-                    parts.append(body)
-                elif coeff == -1:
-                    parts.append(f"-{body}")
-                else:
-                    parts.append(f"{coeff}*{body}")
-            joined = parts[0] if parts else "0"
-            for piece in parts[1:]:
-                joined += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-            lines.append(f"  {joined};")
+            lines.append(f"  {format_sum([format_module_term(letter, varnames, targets, *term) for term in decl.terms])};")
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _field_jet_token(pf: ProblemFile, fidx: int, B: Counts) -> str:
-    name = pf.coeffs[fidx]
-    if mi_order(B) == 0:
-        return name
-    sub = "".join(f"{pf.base[i]}{c if c > 1 else ''}" for i, c in enumerate(B) if c)
-    return f"{name}_{sub}"
-
-
-def _coord_token(pf: ProblemFile, coord: Coord) -> str:
-    if coord[0] == "x":
-        return pf.independent[coord[1]]
-    alpha, J = coord[1], coord[2]
-    if mi_order(J) == 0:
-        return pf.dependent[alpha]
-    sub = "".join(f"{pf.independent[i]}{c if c > 1 else ''}" for i, c in enumerate(J) if c)
-    return f"{pf.dependent[alpha]}_{sub}"
-
-
-def _lincomb_token(pf: ProblemFile, rhs: LinComb) -> str:
-    if not rhs:
-        return "0"
-    parts = []
-    for (fidx, B), coeff in sorted(rhs.items()):
-        cs = format_ratfn(coeff)
-        tok = _field_jet_token(pf, fidx, B)
-        if cs == "1":
-            parts.append(tok)
-        elif cs == "-1":
-            parts.append(f"-{tok}")
-        else:
-            if " + " in cs or " - " in cs:
-                cs = f"({cs})"
-            parts.append(f"{cs}*{tok}")
-    out = parts[0]
-    for piece in parts[1:]:
-        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return out
+def _lincomb_token(jc: JetContext, rhs: LinComb) -> str:
+    return format_sum([format_term(format_ratfn(coeff), jc.field_jet_name(*key)) for key, coeff in sorted(rhs.items())])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .exact import ExactError, Poly, Q, RatFn, _add_term
+from .exact import ExactError, Poly, RatFn, _add_term
 from .jets import (
     Coord,
     Counts,

@@ -28,7 +28,7 @@ def eager_invariant_differential(engine, state, inv_order):
     out = {}
     for coord in eligible_coords(engine, inv_order):
         var = engine.jc.invariant_var(coord)
-        out[var.vid] = engine.reduced_recurrence(coord, state).rhs
+        out[var.vid] = engine.reduced_recurrence(coord, state)
     return out
 
 

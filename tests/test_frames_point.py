@@ -44,9 +44,9 @@ def test_order0_recurrences_raw():
     w = lambda i: fc.one_form(fc.omega(i))
     mcf = lambda f, B: fc.one_form(fc.mc(f, B))
 
-    assert engine.recurrence(("x", 0)).rhs == w(0) + mcf(MU, Z4)
-    assert engine.recurrence(("x", 1)).rhs == w(1) + mcf(NU, Z4)
-    dP = engine.recurrence(("x", 2)).rhs
+    assert engine.recurrence(("x", 0)) == w(0) + mcf(MU, Z4)
+    assert engine.recurrence(("x", 1)) == w(1) + mcf(NU, Z4)
+    dP = engine.recurrence(("x", 2))
     expect_dP = (
         w(2)
         + mcf(NU, EX)
@@ -54,7 +54,7 @@ def test_order0_recurrences_raw():
         - mcf(MU, EU).scale(P * P)
     )
     assert dP == expect_dP
-    dQ = engine.recurrence(("u", 0, (0, 0, 0))).rhs
+    dQ = engine.recurrence(("u", 0, (0, 0, 0)))
     QX = jc.rvar(jc.invariant_var(("u", 0, (1, 0, 0))))
     QU = jc.rvar(jc.invariant_var(("u", 0, (0, 1, 0))))
     QP = jc.rvar(jc.invariant_var(("u", 0, (0, 0, 1))))
@@ -136,7 +136,7 @@ def test_order45_recurrence_display(point_universal):
         return _inv(fr, (i, j, k))
 
     def rec(i, j, k):
-        return eng.reduced_recurrence(("u", 0, (i, j, k)), state).rhs
+        return eng.reduced_recurrence(("u", 0, (i, j, k)), state)
 
     w = lambda i: _w(fr, i)
     mu_X, mu_U = _mc(fr, MU, EX), _mc(fr, MU, EU)
@@ -184,8 +184,8 @@ def test_syzygy_identities(point_universal):
     """D_X Q_P4 = Q_P4X and D_P Q_P2X2 = Q_P3X2, read off the engine's own
     reduced recurrence relations (no correction terms on those slots)."""
     fr = point_universal
-    rec_p4 = fr.engine.reduced_recurrence(("u", 0, (0, 0, 4)), fr.state).rhs
-    rec_p2x2 = fr.engine.reduced_recurrence(("u", 0, (2, 0, 2)), fr.state).rhs
+    rec_p4 = fr.engine.reduced_recurrence(("u", 0, (0, 0, 4)), fr.state)
+    rec_p2x2 = fr.engine.reduced_recurrence(("u", 0, (2, 0, 2)), fr.state)
     assert rec_p4.coefficient((fr.fc.omega(0).sid,)) == _inv(fr, (1, 0, 4))
     assert rec_p2x2.coefficient((fr.fc.omega(2).sid,)) == _inv(fr, (2, 0, 3))
 
@@ -387,7 +387,7 @@ def test_phantom_exactness(point_universal, point_branch1, point_order0):
     """Substituting the frame into every phantom recurrence relation gives 0."""
     for fr in (point_order0, point_branch1, point_universal):
         for order, coord in fr.engine.phantom_subjects(min(fr.order, 4)):
-            reduced = fr.state.reduce(fr.engine.recurrence(coord).rhs)
+            reduced = fr.state.reduce(fr.engine.recurrence(coord))
             assert reduced.is_zero(), (coord, reduced.pretty())
 
 

@@ -62,7 +62,10 @@ OTHER = [(f"{p.stem}_print", ["print", str(p)]) for p in sorted(PROBLEMS.glob("*
     ("twoform_case1_cartan-test_m_3", ["run", str(PROBLEMS / "twoform_case1.prob"), "cartan-test", "--m", "3"]),
     ("twoform_case21_cartan-test_m_3", ["run", str(PROBLEMS / "twoform_case21.prob"), "cartan-test", "--m", "3"]),
     *(
-        (f"contact_signature-compare_{which}", ["run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(PROBLEMS / f"signature_{which}.json")])
+        (
+            f"contact_signature-compare_{which}",
+            ["run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(PROBLEMS / f"signature_{which}.json")],
+        )
         for which in ("equal", "distinct")
     ),
     ("spoly0_groebner", ["run", str(TESTS / "spoly0.prob"), "groebner"]),

@@ -163,7 +163,7 @@ def test_recurrence_coefficients_stay_exact():
     engine = session("point").engine
     for J in mi_up_to(3, 2):
         assert_exact(engine.generator.prolong(0, J))
-        rhs = engine.recurrence(("u", 0, J)).rhs
+        rhs = engine.recurrence(("u", 0, J))
         for c in rhs.terms.values():
             assert_exact(c.num, c.den)
 

@@ -81,6 +81,16 @@ det { xi = 0; xi = eta; }
         parse_problem(text)
 
 
+def test_duplicate_coefficient_field_rejected():
+    text = """
+base x u;
+split independent x dependent u;
+coeffs xi xi;
+"""
+    with pytest.raises(ParseError, match="coeffs must name distinct coefficient fields"):
+        parse_problem(text)
+
+
 def test_cross_section_prefix_violation_reported():
     from cartanframes.frames import CrossSectionError
     from cartanframes.frames import RecurrenceEngine
@@ -310,11 +320,16 @@ def test_cli_signature_data_values_must_be_numbers(tmp_path, capsys, content, me
         (["point.prob", "classify-ode"], "missing --rhs"),
         (["contact.prob", "signature-compare"], "missing --data"),
         (["point.prob", "groebner"], "no spoly block in problem file"),
+        (["point.prob", "coframe", "--order", "-1"], "--order must be at least 0, got -1"),
+        (["point.prob", "structure", "--order", "-5"], "--order must be at least 0, got -5"),
+        (["point_branch1.prob", "coframe", "--mc-order", "-1"], "--mc-order must be at least 0, got -1"),
+        (["twoform_case1.prob", "cartan-test", "--m", "-2"], "--m must be at least 1, got -2"),
+        (["twoform_case1.prob", "cartan-test", "--m", "0"], "--m must be at least 1, got 0"),
     ],
 )
 def test_cli_missing_required_option_is_a_usage_error(capsys, argv, message):
-    problem, command = argv
-    code, out = _run_cli("run", str(PROBLEMS / problem), command)
+    problem, command, *flags = argv
+    code, out = _run_cli("run", str(PROBLEMS / problem), command, *flags)
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
@@ -347,6 +362,31 @@ def test_cli_rhs_parse_error_is_located_in_the_option(capsys, rhs, message):
 def test_module_polynomial_parse_errors(block, message):
     with pytest.raises(ParseError, match=message):
         parse_problem(f"base x y z;\nsplit independent x y dependent z;\n{block}\n")
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        # the lead of a determining relation
+        ("det { xi_{u^j} = 0; }", "4:8: wildcards not allowed in determining relations"),
+        ("det { xi_zz = 0; }", "4:11: cannot read subscript 'zz'"),
+        ("det { xi_ = 0; }", "4:11: expected subscript"),
+        ("det { xi_{u u} = 0; }", "4:13: repeated subscript variable 'u'"),
+        # a cross-section coordinate
+        ("xsec { assume u_{x^j} != 0; }", "4:15: wildcards not allowed here"),
+        ("xsec { u_zz = 0; }", "4:11: cannot read subscript 'zz'"),
+        ("xsec { assume u_ != 0; }", "4:19: expected subscript"),
+        # a name in an expression
+        ("det { xi = eta_{x^j}; }", "4:14: wildcards only appear in cross-section families"),
+        ("det { xi = eta_zz; }", "4:17: cannot read subscript 'zz'"),
+        ("det { xi = eta_+ xi; }", "4:16: expected subscript"),
+        ("det { xi = x_x*eta; }", "4:12: independent variables carry no subscripts"),
+    ],
+)
+def test_subscript_parse_errors(statement, message):
+    with pytest.raises(ParseError) as err:
+        parse_problem(f"base x u;\nsplit independent x dependent u;\ncoeffs xi eta;\n{statement}\n")
+    assert str(err.value) == message
 
 
 def test_module_generators_sum_repeated_terms():
