@@ -10,6 +10,11 @@ mapping exponent keys to nonzero Fractions; an exponent key is a sorted tuple
 of ``(variable_id, exponent)`` pairs so that the variable table can grow
 lazily without invalidating existing values.  The canonical monomial order is
 graded lexicographic with respect to each variable's structural sort key.
+
+All row reduction goes through one forward-elimination kernel that never swaps
+rows: each column, left to right, pivots on the first remaining row in
+original order whose entry the caller accepts.  Callers may rely on the pivot
+columns and on the row span, not on the contents of the reduced rows.
 """
 
 from __future__ import annotations
@@ -745,54 +750,75 @@ class ExactMatrix:
         if len(self.column_labels) != self.ncols:
             raise ExactError("column label count mismatch")
 
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix([list(r) for r in self.rows], self.column_labels)
-
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"
 
 
-def _entry_is_zero(e) -> bool:
-    if isinstance(e, RatFn):
-        return e.is_zero()
-    return e == 0
+def _forward_eliminate(rows: list[list], accept: Optional[Callable] = None, rhs=None, scale=None):
+    """Forward elimination in place, column by column, without row swaps.
+
+    The pivot of a column is the first free row, in original row order, whose
+    entry is nonzero and passes ``accept`` (every nonzero entry when ``accept``
+    is None).  The column is cleared from the other free rows, and from their
+    ``rhs`` entries through ``scale``; pivot rows are never touched again.
+    Returns the ``(column, row)`` pivots in column order and the
+    ``(column, entry)`` pairs of blocked columns, whose first nonzero free
+    entry ``accept`` refused.
+    """
+    free = list(range(len(rows)))
+    pivots: list[tuple[int, int]] = []
+    blocked: list[tuple[int, object]] = []
+    for c in range(len(rows[0]) if rows else 0):
+        if not free:
+            break
+        pivot = blocker = None
+        for i in free:
+            e = rows[i][c]
+            if not e:
+                continue
+            if accept is None or accept(e):
+                pivot = i
+                break
+            if blocker is None:
+                blocker = e
+        if pivot is None:
+            if blocker is not None:
+                blocked.append((c, blocker))
+            continue
+        pivots.append((c, pivot))
+        free.remove(pivot)
+        prow = rows[pivot]
+        pv = prow[c]
+        for i in free:
+            e = rows[i][c]
+            if not e:
+                continue
+            factor = e / pv
+            rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], prow)]
+            if rhs is not None:
+                rhs[i] = rhs[i] + scale(-factor, rhs[pivot])
+    return pivots, blocked
 
 
 def ordered_row_echelon(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """Row echelon form using row operations only.
+    """Row echelon form using row operations only: the pivot rows on top, in
+    column order, then the zero rows.
 
-    The pivot search scans columns left to right in the caller's order and
-    rows top to bottom, so the result (and the pivot column list) is fully
-    deterministic.
+    Columns are scanned left to right in the caller's order and each pivot is
+    the first remaining row, in original order, with a nonzero entry; rows are
+    never swapped.  The pivot columns (the rank profile) and the row span are
+    therefore fixed by the matrix, and they are all a caller may rely on: the
+    contents of the individual echelon rows depend on which row pivoted.
     """
-    out = m.copy()
-    rows, ncols = out.rows, out.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not _entry_is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if _entry_is_zero(rows[i][c]):
-                continue
-            factor = rows[i][c] / pv
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return out, pivots
+    rows = [list(r) for r in m.rows]
+    pivots, _ = _forward_eliminate(rows)
+    used = {i for _, i in pivots}
+    ordered = [rows[i] for _, i in pivots] + [r for i, r in enumerate(rows) if i not in used]
+    return ExactMatrix(ordered, m.column_labels), [c for c, _ in pivots]
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(ordered_row_echelon(m)[1])
+    return len(_forward_eliminate([list(r) for r in m.rows])[0])
 
 
 class LinearSolveResult:
@@ -830,68 +856,33 @@ def solve_linear(
     as 0 = nonzero, is returned in ``residual`` with an empty coefficient map;
     the caller decides what it means.
     """
-    if invertible is None:
-        invertible = _default_invertible
     work = [list(r) for r in system.rows]
     vec = list(rhs)
-    ncols = system.ncols
     labels = system.column_labels
-    pivot_of_col: dict[int, int] = {}
-    used_rows: set[int] = set()
-    blocked: list[tuple[int, object]] = []
-    for c in range(ncols):
-        pivot_row = None
-        blocker = None
-        for i in range(len(work)):
-            if i in used_rows or _entry_is_zero(work[i][c]):
-                continue
-            if invertible(work[i][c]):
-                pivot_row = i
-                break
-            if blocker is None:
-                blocker = work[i][c]
-        if pivot_row is None:
-            if blocker is not None:
-                blocked.append((labels[c], blocker))
-            continue
-        used_rows.add(pivot_row)
-        pivot_of_col[c] = pivot_row
-        pv = work[pivot_row][c]
-        for i in range(len(work)):
-            if i == pivot_row or _entry_is_zero(work[i][c]):
-                continue
-            factor = work[i][c] / pv
-            work[i] = [a - factor * b for a, b in zip(work[i], work[pivot_row])]
-            vec[i] = vec[i] + scale(-factor, vec[pivot_row])
+    pivots, blocked = _forward_eliminate(work, invertible or _default_invertible, vec, scale)
+    # Back substitution: clear each pivot column from the earlier pivot rows.
+    for k, (c, i) in enumerate(pivots):
+        prow, pv = work[i], work[i][c]
+        for _, j in pivots[:k]:
+            e = work[j][c]
+            if e:
+                factor = e / pv
+                work[j] = [a - factor * b if b else a for a, b in zip(work[j], prow)]
+                vec[j] = vec[j] + scale(-factor, vec[i])
+    pivot_of_col = dict(pivots)
     solved = {}
-    for c, i in pivot_of_col.items():
+    for c, i in pivots:
         pv = work[i][c]
-        rhs_part = scale(_inv_entry(pv), vec[i])
-        coeffs = {}
-        for c2 in range(ncols):
-            if c2 == c or c2 in pivot_of_col:
-                continue
-            entry = work[i][c2]
-            if not _entry_is_zero(entry):
-                coeffs[labels[c2]] = -(entry / pv)
-        solved[labels[c]] = (rhs_part, coeffs)
-    unsolved = [labels[c] for c in range(ncols) if c not in pivot_of_col]
-    residual = []
-    for i in range(len(work)):
-        if i in used_rows:
-            continue
-        coeffs = {labels[c]: work[i][c] for c in range(ncols) if not _entry_is_zero(work[i][c])}
-        residual.append((coeffs, vec[i]))
-    return LinearSolveResult(solved, unsolved, residual, blocked)
+        coeffs = {labels[c2]: -(e / pv) for c2, e in enumerate(work[i]) if e and c2 not in pivot_of_col}
+        solved[labels[c]] = (scale(pv.inverse() if isinstance(pv, RatFn) else QONE / pv, vec[i]), coeffs)
+    unsolved = [label for c, label in enumerate(labels) if c not in pivot_of_col]
+    used = set(pivot_of_col.values())
+    residual = [
+        ({labels[c]: e for c, e in enumerate(row) if e}, vec[i]) for i, row in enumerate(work) if i not in used
+    ]
+    return LinearSolveResult(solved, unsolved, residual, [(labels[c], e) for c, e in blocked])
 
 
 def _default_invertible(e) -> bool:
-    if isinstance(e, RatFn):
-        return e.is_constant() and e.constant_value() != 0
-    return e != 0
-
-
-def _inv_entry(e):
-    if isinstance(e, RatFn):
-        return e.inverse()
-    return 1 / e if isinstance(e, Fraction) else Fraction(1, e)
+    """Asked of nonzero entries only: a number or a constant RatFn."""
+    return not isinstance(e, RatFn) or e.is_constant()

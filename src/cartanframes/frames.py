@@ -330,10 +330,8 @@ class RecurrenceEngine:
         }
 
         def invertible(c: RatFn) -> bool:
-            if c.is_constant():
-                return not c.is_zero()
-            vars_used = c.variables()
-            return bool(vars_used) and vars_used <= nonvanishing_vars
+            # Asked of nonzero entries only; a constant uses no variables.
+            return c.variables() <= nonvanishing_vars
 
         for stratum in range(inv_order + 1):
             relations = []

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exact import ExactError, ExactMatrix, Q, _add_term, format_monomial, format_sum, format_term, ordered_row_echelon, rank
+from .exact import ExactError, ExactMatrix, Q, _add_term, _forward_eliminate, format_monomial, format_sum, format_term, ordered_row_echelon, rank
 from .jets import Counts, mi_add, mi_all, mi_divides, mi_order, mi_up_to, mi_zero
 
 TTerm = tuple[Counts, int]
@@ -390,7 +390,6 @@ class BetaMap:
             for _ in range(e):
                 nxt: dict[Counts, Fraction] = {}
                 for B, c in out.items():
-                    bump = dict(nxt)
                     key = tuple(b + (1 if k == i else 0) for k, b in enumerate(B))
                     nxt[key] = nxt.get(key, Q(0)) + c
                     for alpha in range(self.q):
@@ -432,7 +431,6 @@ def prolonged_symbol_preimage(
     for k in range(degree + 1):
         ik = _module_component(i_generators, m, k)
         t_cols = [(B, a) for B in mi_all(m, k) for a in range(m)]
-        col_index = {c: i for i, c in enumerate(t_cols)}
         i_rows = [[g.terms.get(c, Q(0)) for c in t_cols] for g in ik]
         s_basis = [(J, alpha) for J in mi_all(p, k) for alpha in range(q)]
         img_rows = []
@@ -467,36 +465,14 @@ def _module_component(gens: Sequence[TPoly], m: int, k: int) -> list[TPoly]:
 
 def _in_span_solutions(candidate_rows, span_rows):
     """Coefficient vectors c (over candidates) with sum c_i cand_i in the row
-    span: the kernel of the quotient map, found by an echelon with candidate
-    bookkeeping."""
+    span: the rows of [span | 0] over [candidates | I] that pivot in the
+    identity block after forward elimination span that kernel."""
     ncand = len(candidate_rows)
-    width = len(candidate_rows[0]) if candidate_rows else (len(span_rows[0]) if span_rows else 0)
-    rows = []
-    for i, r in enumerate(candidate_rows):
-        rows.append((list(r), [Q(1) if j == i else Q(0) for j in range(ncand)]))
-    for r in span_rows:
-        rows.append((list(r), [Q(0)] * ncand))
-    # eliminate: span rows can freely reduce; track candidate combos
-    pivots = {}
-    order = list(range(len(rows)))
-    # process span rows first so candidates reduce against the span
-    order.sort(key=lambda i: 0 if i >= ncand else 1)
-    basis = []
-    for i in order:
-        vec, combo = rows[i]
-        vec, combo = list(vec), list(combo)
-        for c, (pvec, pcombo) in pivots.items():
-            if vec[c]:
-                f = vec[c] / pvec[c]
-                vec = [a - f * b for a, b in zip(vec, pvec)]
-                combo = [a - f * b for a, b in zip(combo, pcombo)]
-        lead = next((c for c in range(width) if vec[c]), None)
-        if lead is None:
-            if any(combo):
-                basis.append(combo)
-        else:
-            pivots[lead] = (vec, combo)
-    return basis
+    rows = [list(r) + [Q(0)] * ncand for r in span_rows]
+    rows += [list(r) + [Q(1) if j == i else Q(0) for j in range(ncand)] for i, r in enumerate(candidate_rows)]
+    width = len(rows[0]) - ncand if rows else 0
+    pivots, _ = _forward_eliminate(rows)
+    return [rows[i][width:] for c, i in pivots if c >= width]
 
 
 # -- monomial complements and linear bases ----------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Context, ExactError, ExpKey, Poly, RatFn, Variable, _add_term, _merge_exp, subscript
+from .exact import Context, ExactError, ExactMatrix, ExpKey, Poly, RatFn, Variable, _add_term, _merge_exp, solve_linear, subscript
 
 Counts = tuple[int, ...]
 
@@ -310,22 +310,12 @@ def lifted_total_derivative_matrix(jc: JetContext, targets: Sequence[RatFn]) -> 
 
 
 def invert_ratfn_matrix(jc: JetContext, m: list[list[RatFn]]) -> list[list[RatFn]]:
+    """Inverse of a square RatFn matrix: solve ``[M | -I] (x, y) = 0`` for x,
+    pivoting on any nonzero entry.  A pivot in the -I block means M is singular."""
     n = len(m)
-    work = [[m[i][j] for j in range(n)] + [jc.ratfn(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if not work[r][c].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            raise ExactError("degenerate map: singular total Jacobian")
-        work[c], work[pivot] = work[pivot], work[c]
-        pv = work[c][c]
-        work[c] = [e / pv for e in work[c]]
-        for r in range(n):
-            if r == c or work[r][c].is_zero():
-                continue
-            f = work[r][c]
-            work[r] = [a - f * b for a, b in zip(work[r], work[c])]
-    return [[work[i][n + j] for j in range(n)] for i in range(n)]
+    zero = jc.ratfn(0)
+    system = ExactMatrix([list(row) + [jc.ratfn(-1 if j == i else 0) for j in range(n)] for i, row in enumerate(m)])
+    result = solve_linear(system, [zero] * n, invertible=lambda e: True)
+    if any(label >= n for label in result.solved):
+        raise ExactError("degenerate map: singular total Jacobian")
+    return [[result.solved[i][1].get(n + j, zero) for j in range(n)] for i in range(n)]

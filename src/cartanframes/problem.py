@@ -388,8 +388,13 @@ def _validate_declarations(pf: ProblemFile) -> None:
         raise ParseError("base must list independents then dependents, matching split", 0, 0)
     if pf.coeffs and len(pf.coeffs) != len(pf.base):
         raise ParseError("coeffs must name one coefficient field per base variable", 0, 0)
+    if not pf.coeffs:
+        pf.coeffs = [f"zeta{name}" for name in pf.base]
     if len(set(pf.coeffs)) != len(pf.coeffs):
         raise ParseError("coeffs must name distinct coefficient fields", 0, 0)
+    for name in pf.coeffs:
+        if name in pf.base:
+            raise ParseError(f"coeffs must not reuse the base coordinate name {name!r}", 0, 0)
 
 
 def _capture_statement(toks: _Tokens) -> list:
@@ -415,8 +420,6 @@ def _build(pf: ProblemFile, raw: dict[str, list]) -> None:
     jc = JetContext(pf.independent, pf.dependent)
     base_coords = [coord_x(i) for i in range(len(pf.independent))]
     base_coords += [coord_u(a, mi_zero(len(pf.independent))) for a in range(len(pf.dependent))]
-    if not pf.coeffs:
-        pf.coeffs = [f"zeta{name}" for name in pf.base]
     fields = [jc.field(n, base_coords) for n in pf.coeffs]
     system = DeterminingSystem(jc, fields)
     for stmt in raw["det"]:

@@ -65,7 +65,6 @@ class DeterminingSystem:
         self.lead_list: list[JetKey] = []
         self._reduced: dict[JetKey, LinComb] = {}
         self._in_progress: set[JetKey] = set()
-        self.findings: list[NotFormallyIntegrable] = []
 
     # -- construction -----------------------------------------------------
 
@@ -180,7 +179,6 @@ class DeterminingSystem:
                 if diff:
                     finding = NotFormallyIntegrable(key, diff)
                     findings.append(finding)
-        self.findings.extend(findings)
         return findings
 
     def prolong(self, k: int) -> "DeterminingSystem":

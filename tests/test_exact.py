@@ -13,7 +13,6 @@ from cartanframes.exact import (
     ExactMatrix,
     Poly,
     RatFn,
-    _entry_is_zero,
     format_poly,
     format_ratfn,
     normal_form,
@@ -133,7 +132,7 @@ def _minor_det(m: ExactMatrix, rows, cols):
     total = None
     for j, c in enumerate(cols):
         entry = m.rows[rows[0]][c]
-        if _entry_is_zero(entry):
+        if not entry:
             continue
         sub = _minor_det(m, rows[1:], cols[:j] + cols[j + 1 :])
         term = entry * sub * (1 if j % 2 == 0 else -1)
@@ -375,3 +374,162 @@ def test_constant_ratfn_equals_its_quotient(q, k):
     assert a == b and hash(a) == hash(b)
     assert (a - b).is_zero()
     assert normal_form(a) == a and a.constant_value() == q
+
+
+# -- the elimination kernel against the Gauss-Jordan it replaced -------------------
+
+
+def oracle_solve_linear(system, rhs, invertible=None, scale=lambda c, v: c * v):
+    """Gauss-Jordan with declared-invertible pivots, clearing every other row
+    at each pivot: the algorithm ``solve_linear`` used before the shared
+    forward-elimination kernel."""
+
+    def is_zero(e):
+        return e.is_zero() if isinstance(e, RatFn) else e == 0
+
+    if invertible is None:
+
+        def invertible(e):
+            if isinstance(e, RatFn):
+                return e.is_constant() and e.constant_value() != 0
+            return e != 0
+
+    work = [list(r) for r in system.rows]
+    vec = list(rhs)
+    ncols = system.ncols
+    labels = system.column_labels
+    pivot_of_col = {}
+    used_rows = set()
+    blocked = []
+    for c in range(ncols):
+        pivot_row = None
+        blocker = None
+        for i in range(len(work)):
+            if i in used_rows or is_zero(work[i][c]):
+                continue
+            if invertible(work[i][c]):
+                pivot_row = i
+                break
+            if blocker is None:
+                blocker = work[i][c]
+        if pivot_row is None:
+            if blocker is not None:
+                blocked.append((labels[c], blocker))
+            continue
+        used_rows.add(pivot_row)
+        pivot_of_col[c] = pivot_row
+        pv = work[pivot_row][c]
+        for i in range(len(work)):
+            if i == pivot_row or is_zero(work[i][c]):
+                continue
+            factor = work[i][c] / pv
+            work[i] = [a - factor * b for a, b in zip(work[i], work[pivot_row])]
+            vec[i] = vec[i] + scale(-factor, vec[pivot_row])
+    solved = {}
+    for c, i in pivot_of_col.items():
+        pv = work[i][c]
+        inv = pv.inverse() if isinstance(pv, RatFn) else Fraction(1) / pv
+        coeffs = {}
+        for c2 in range(ncols):
+            if c2 == c or c2 in pivot_of_col:
+                continue
+            if not is_zero(work[i][c2]):
+                coeffs[labels[c2]] = -(work[i][c2] / pv)
+        solved[labels[c]] = (scale(inv, vec[i]), coeffs)
+    unsolved = [labels[c] for c in range(ncols) if c not in pivot_of_col]
+    residual = []
+    for i in range(len(work)):
+        if i in used_rows:
+            continue
+        residual.append(({labels[c]: work[i][c] for c in range(ncols) if not is_zero(work[i][c])}, vec[i]))
+    return solved, unsolved, residual, blocked
+
+
+def _same_solve(system, rhs, invertible=None):
+    res = solve_linear(system, rhs, invertible=invertible)
+    assert (res.solved, res.unsolved, res.residual, res.blocked) == oracle_solve_linear(system, rhs, invertible)
+
+
+small_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+fraction_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda ncols: st.lists(st.lists(small_entries, min_size=ncols, max_size=ncols), min_size=1, max_size=5)
+)
+# Pivot rules: every nonzero entry, positive entries only, entries other than +-1.
+fraction_rules = st.sampled_from([None, lambda e: e > 0, lambda e: abs(e) != 1])
+
+
+@given(fraction_matrices, st.lists(st.integers(min_value=-5, max_value=5), min_size=5, max_size=5), fraction_rules)
+@example([[1, 1], [1, 1], [0, 2]], [1, 2, 3, 0, 0], lambda e: e > 0)
+@settings(max_examples=120, deadline=None)
+def test_solve_linear_matches_gauss_jordan_on_fractions(rows, rhs, rule):
+    system = ExactMatrix([[Fraction(e) for e in r] for r in rows], [f"c{j}" for j in range(len(rows[0]))])
+    _same_solve(system, [Fraction(v) for v in rhs[: len(rows)]], rule)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(min_value=0, max_value=8), min_size=ncols, max_size=ncols), min_size=1, max_size=3
+        )
+    ),
+    st.lists(st.integers(min_value=0, max_value=8), min_size=3, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_solve_linear_matches_gauss_jordan_under_the_frame_rule(rows, rhs):
+    """RatFn systems where a pivot must be a nonzero constant or use only the
+    declared nonvanishing variable ``a``, as in phantom normalization."""
+    ctx = Context()
+    a = RatFn(ctx.poly_var(ctx.variable("a")), ctx.poly(1))
+    b = RatFn(ctx.poly_var(ctx.variable("b")), ctx.poly(1))
+    one, zero = ctx.ratfn(1), ctx.ratfn(0)
+    pool = [zero, zero, one, ctx.ratfn(-2), a, b, a + one, a * b, one / a, b / (a + one)]
+    declared = set(a.variables())
+
+    def frame_rule(c):
+        if c.is_constant():
+            return not c.is_zero()
+        used = c.variables()
+        return bool(used) and used <= declared
+
+    system = ExactMatrix([[pool[e] for e in r] for r in rows], [f"c{j}" for j in range(len(rows[0]))])
+    _same_solve(system, [pool[v] for v in rhs[: len(rows)]], frame_rule)
+
+
+@given(fraction_matrices)
+@settings(max_examples=80, deadline=None)
+def test_echelon_pivots_are_the_rank_profile(rows):
+    m = ExactMatrix([[Fraction(e) for e in r] for r in rows])
+    prefix_ranks = [0] + [rank_by_minors(ExactMatrix([r[: c + 1] for r in m.rows])) for c in range(m.ncols)]
+    profile = [c for c in range(m.ncols) if prefix_ranks[c + 1] > prefix_ranks[c]]
+    ech, pivots = ordered_row_echelon(m)
+    assert pivots == profile
+    for k, row in enumerate(ech.rows):
+        lead = next((c for c, e in enumerate(row) if e), None)
+        assert lead == (pivots[k] if k < len(pivots) else None)
+    assert rank_by_minors(ExactMatrix(m.rows + ech.rows)) == len(pivots)
+
+
+def _combine(coeffs, rows):
+    return [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(len(rows[0]))]
+
+
+@given(
+    st.lists(st.lists(small_entries, min_size=3, max_size=3), max_size=3),
+    st.lists(st.lists(small_entries, min_size=3, max_size=3), min_size=1, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_in_span_solutions_is_the_kernel_of_the_quotient_map(span, cand):
+    from cartanframes.involution import _in_span_solutions
+
+    span = [[Fraction(e) for e in r] for r in span]
+    cand = [[Fraction(e) for e in r] for r in cand]
+
+    def rk(rows):
+        return rank_by_minors(ExactMatrix(rows)) if rows else 0
+
+    vectors = _in_span_solutions(cand, span)
+    assert len(vectors) == len(cand) + rk(span) - rk(span + cand)
+    for v in vectors:
+        assert len(v) == len(cand)
+        assert rk(span + [_combine(v, cand)]) == rk(span)
+    assert rk(vectors) == len(vectors)

@@ -139,6 +139,23 @@ def test_lifted_matrix_identity(ode_jets):
             assert W[i][j] == jc.ratfn(1 if i == j else 0)
 
 
+def test_lifted_matrix_inverts_a_full_jacobian():
+    """X = (x + u, y*u) over (x, y; u): every entry of the total Jacobian is
+    nonzero, and W is its two-sided inverse."""
+    jc = JetContext(["x", "y"], ["u"])
+    x, y = (jc.rvar(jc.x_var(i)) for i in range(2))
+    u = jc.rvar(jc.u_var(0, (0, 0)))
+    targets = [x + u, y * u]
+    W = lifted_total_derivative_matrix(jc, targets)
+    jac = [[jc.total_derivative(targets[j], i) for j in range(2)] for i in range(2)]
+    assert all(not e.is_zero() for row in jac for e in row)
+    for left, right in [(jac, W), (W, jac)]:
+        for i in range(2):
+            for j in range(2):
+                entry = left[i][0] * right[0][j] + left[i][1] * right[1][j]
+                assert entry == jc.ratfn(1 if i == j else 0)
+
+
 def test_lifted_matrix_singular(plane):
     with pytest.raises(ExactError):
         lifted_total_derivative_matrix(plane, [plane.ratfn(1)])

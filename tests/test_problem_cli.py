@@ -164,13 +164,24 @@ def test_cli_digest_stable():
     assert "digest = sha256:" in out1
 
 
-def test_cli_parse_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.prob"
-    bad.write_text("base x u;\nsplit independent x dependent u;\ncoeffs xi eta;\ndet { xi_w = 0; }\n")
+def test_cli_parse_error_exit_code(tmp_path, capsys):
     from cartanframes import cli
 
-    code = cli.main(["run", str(bad), "lift"])
-    assert code == 1
+    plain = "base x u;\nsplit independent x dependent u;\n"
+    for head, body, message in [
+        (plain, "coeffs xi eta;\ndet { xi_w = 0; }\n", "4:10: cannot read subscript 'w'"),
+        # A coefficient field named like a base coordinate would shadow it.
+        (plain, "coeffs x u;\ndet { x_u = u*u_x; }\n", "0:0: coeffs must not reuse the base coordinate name 'x'"),
+        (plain, "coeffs xi u;\n", "0:0: coeffs must not reuse the base coordinate name 'u'"),
+        # The default field names zeta<name> are checked too.
+        ("base x zetax;\nsplit independent x dependent zetax;\n", "", "0:0: coeffs must not reuse the base coordinate name 'zetax'"),
+    ]:
+        bad = tmp_path / "bad.prob"
+        bad.write_text(head + body)
+        assert cli.main(["run", str(bad), "lift"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{bad}:{message}\n"
 
 
 def test_cli_lift_report():
