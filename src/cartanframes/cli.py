@@ -121,14 +121,9 @@ def cmd_coframe(pf: ProblemFile, args, report: Report) -> int:
     order = args.order if args.order is not None else 3
     mc_order = args.mc_order if args.mc_order is not None else 2
     session = Session(pf, order, mc_order)
-    jc, fc, engine, state, coframe = session.jc, session.fc, session.engine, session.state, session.coframe
-    for i in range(jc.p):
-        report.add(f"coframe.d(w^{jc.independents[i]})", coframe.get(fc.omega(i)).pretty())
-    for key in session.residual:
-        sym = fc.mc(key[0], key[1])
-        rhs = coframe.get(sym)
-        if rhs is not None:
-            report.add(f"coframe.d({sym.name})", rhs.pretty())
+    jc, engine, state, coframe = session.jc, session.engine, session.state, session.coframe
+    for sym, rhs in coframe.items():
+        report.add(f"coframe.d({sym.name})", rhs.pretty())
     Y, partial = commutator_invariants(engine, coframe)
     if partial:
         report.add("coframe.commutators", "partial frame: defined modulo " + ", ".join(sorted({s.name for s in partial})))

@@ -11,7 +11,7 @@ import itertools
 from typing import Callable, Optional
 
 from .exact import ExactError, Q, RatFn, _add_term, format_ratfn, format_sum, format_term, subscript
-from .jets import Counts, JetContext, mi_bump, mi_factorial, mi_order, mi_up_to, mi_zero
+from .jets import Counts, JetContext, mi_bump, mi_factorial, mi_order, mi_zero
 from .pseudogroup import DeterminingSystem, JetKey
 
 
@@ -35,7 +35,7 @@ class FormSymbol:
         return f"FormSymbol({self.name})"
 
 
-_KIND_RANK = {"sigma": 0, "omega": 1, "mc": 2, "d": 4, "gen": 9}
+_KIND_RANK = {"sigma": 0, "omega": 1, "mc": 2, "gen": 9}
 
 
 class FormContext:
@@ -182,9 +182,6 @@ class ExteriorForm:
                 _add_term(out, word, ca * cb if sign > 0 else -(ca * cb))
         return ExteriorForm(self.fc, out)
 
-    def degree_part(self, k: int) -> "ExteriorForm":
-        return ExteriorForm(self.fc, {w: c for w, c in self.terms.items() if len(w) == k})
-
     def symbols(self) -> set[int]:
         out: set[int] = set()
         for w in self.terms:
@@ -212,8 +209,10 @@ def substitute(
     mapping: dict[int, ExteriorForm],
     coeff_sub: Optional[Callable[[RatFn], RatFn]] = None,
 ) -> ExteriorForm:
-    """Replace symbols by one-forms (with signs handled by re-wedging) and
-    apply a coefficient substitution."""
+    """Replace symbols by one-forms and apply a coefficient substitution.
+
+    A word without a mapped symbol is copied as it is; only a word with one is
+    re-wedged symbol by symbol, which handles the signs."""
     fc = form.fc
     out: dict[Word, RatFn] = {}
     for word, c in form.terms.items():
@@ -221,6 +220,9 @@ def substitute(
             c = coeff_sub(c)
             if c.is_zero():
                 continue
+        if mapping.keys().isdisjoint(word):
+            _add_term(out, word, c)
+            continue
         piece = fc.scalar_form(c)
         for sid in word:
             repl = mapping.get(sid)
@@ -265,26 +267,18 @@ def exterior_derivative(
 
 
 class EquationSet:
-    """A collection of structure equations d(symbol) = form.
-
-    ``residual`` lists symbols that are allowed to appear without an equation
-    (isotropy directions of a partial frame); everything else mentioned by a
-    right side must itself carry an equation for the d^2 audit to run.
-    """
+    """A collection of structure equations d(symbol) = form, in the order they
+    were set."""
 
     def __init__(self, fc: FormContext):
         self.fc = fc
         self.equations: dict[int, ExteriorForm] = {}
-        self.residual: set[int] = set()
 
     def set(self, sym: FormSymbol, rhs: ExteriorForm) -> None:
         self.equations[sym.sid] = rhs
 
     def get(self, sym: FormSymbol) -> Optional[ExteriorForm]:
         return self.equations.get(sym.sid)
-
-    def mark_residual(self, sym: FormSymbol) -> None:
-        self.residual.add(sym.sid)
 
     def items(self):
         return [(self.fc.by_id(sid), rhs) for sid, rhs in self.equations.items()]
@@ -329,16 +323,19 @@ class MissingRule(Exception):
 # -- diffeomorphism structure equations -----------------------------------------
 
 
-def diffeo_structure_equations(fc: FormContext, m: int, N: int) -> EquationSet:
-    """Structure equations of the diffeomorphism pseudo-group in dimension m.
+def diffeo_structure_equations(fc: FormContext, system: DeterminingSystem, N: int) -> EquationSet:
+    """Structure equations of the diffeomorphism pseudo-group of the base of
+    ``system``, for the symbols the pseudo-group keeps.
 
-    Produces d(sigma^a) for each a and d(mu^a_B) for #B <= N-1 by expanding
-    the Maurer-Cartan power-series identity and matching coefficients of the
-    formal parameters degree by degree.  Every coefficient is a rational
-    constant, so each right side is summed as ``{(sid1, sid2): Fraction}``
-    and turned into ``RatFn``s once.
+    Produces d(sigma^a) for each a and d(mu^b_B) for each basis jet (b, B) of
+    ``system`` with #B <= N-1 by expanding the Maurer-Cartan power-series
+    identity and matching coefficients of the formal parameters degree by
+    degree; a system without relations gives every d(mu^b_B).  Every
+    coefficient is a rational constant, so each right side is summed as
+    ``{(sid1, sid2): Fraction}`` and turned into ``RatFn``s once.
     """
     jc = fc.jc
+    m = system.m
     eqs = EquationSet(fc)
 
     def form(rhs: dict[Word, Q]) -> ExteriorForm:
@@ -352,20 +349,19 @@ def diffeo_structure_equations(fc: FormContext, m: int, N: int) -> EquationSet:
             mu_ba = fc.mc(b, mi_bump(mi_zero(m), a))
             _add_wedge(rhs, mu_ba, fc.sigma(a), 1)
         eqs.set(fc.sigma(b), form(rhs))
-    for b in range(m):
-        for B in mi_up_to(m, max(N - 1, 0)):
-            rhs = {}
-            fact_B = mi_factorial(B)
-            for a in range(m):
-                # B1 = B, B2 = 0 term: -(1/B!) mu^b_{B+e_a} wedge sigma^a, scaled by B!
-                lead = fc.mc(b, mi_bump(B, a))
-                _add_wedge(rhs, fc.sigma(a), lead, 1)
-                for B1 in _splits_below(B):
-                    B2 = tuple(x - y for x, y in zip(B, B1))
-                    coeff = Q(fact_B, mi_factorial(B1) * mi_factorial(B2))
-                    left = fc.mc(b, mi_bump(B1, a))
-                    _add_wedge(rhs, left, fc.mc(a, B2), coeff)
-            eqs.set(fc.mc(b, B), form(rhs))
+    for b, B in system.basis_jets(max(N - 1, 0)):
+        rhs = {}
+        fact_B = mi_factorial(B)
+        for a in range(m):
+            # B1 = B, B2 = 0 term: -(1/B!) mu^b_{B+e_a} wedge sigma^a, scaled by B!
+            lead = fc.mc(b, mi_bump(B, a))
+            _add_wedge(rhs, fc.sigma(a), lead, 1)
+            for B1 in _splits_below(B):
+                B2 = tuple(x - y for x, y in zip(B, B1))
+                coeff = Q(fact_B, mi_factorial(B1) * mi_factorial(B2))
+                left = fc.mc(b, mi_bump(B1, a))
+                _add_wedge(rhs, left, fc.mc(a, B2), coeff)
+        eqs.set(fc.mc(b, B), form(rhs))
     return eqs
 
 
@@ -405,18 +401,15 @@ def mc_expansion(fc: FormContext, system: DeterminingSystem, key: JetKey, coeff:
 
 def restrict_to_pseudogroup(eqs: EquationSet, mcrel) -> EquationSet:
     """Substitute solved Maurer-Cartan symbols by their lifted basis
-    expressions, keeping equations for sigma forms and basis mu forms only."""
+    expressions in every equation."""
     fc = eqs.fc
     system = mcrel.system
     mapping: dict[int, ExteriorForm] = {}
-    for sid in set().union(*[rhs.symbols() for rhs in eqs.equations.values()]) if eqs.equations else set():
+    for sid in set().union(*[rhs.symbols() for rhs in eqs.equations.values()]):
         key = fc.by_id(sid).key
         if key is not None and system.is_solved(key):
             mapping[sid] = mc_expansion(fc, system, key, mcrel.lift_coeff)
     out = EquationSet(fc)
     for sym, rhs in eqs.items():
-        if sym.key is not None and system.is_solved(sym.key):
-            continue
-        # a right side without a solved symbol restricts to itself
-        out.set(sym, substitute(rhs, mapping) if mapping.keys() & rhs.symbols() else rhs)
+        out.set(sym, substitute(rhs, mapping))
     return out

@@ -14,7 +14,7 @@ forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import QONE, QZERO, ExactError, ExactMatrix, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
 from .exterior import (
@@ -462,19 +462,14 @@ class RecurrenceEngine:
         return eqs.d_squared_audit(coeff_rule)
 
 
-def normalized_structure_equations(
-    engine: RecurrenceEngine,
-    state: FrameState,
-    restricted: EquationSet,
-    keep_mc: Iterable[JetKey],
-) -> EquationSet:
+def normalized_structure_equations(engine: RecurrenceEngine, state: FrameState, restricted: EquationSet) -> EquationSet:
     """Pull back a restricted equation set by the frame: sigma^i -> omega^i,
     sigma^{p+alpha} -> the horizontal part of d(u^alpha), resolved
     Maurer-Cartan symbols -> their frame values, coefficients evaluated on the
     cross-section.
 
-    Returns equations for d(omega^i) and for the residual Maurer-Cartan forms
-    listed in ``keep_mc`` (every unresolved one when ``keep_mc`` is empty)."""
+    Returns equations for d(omega^i) and for the restricted Maurer-Cartan
+    forms the frame leaves unresolved, in the order of ``restricted``."""
     fc = engine.fc
     p = engine.jc.p
     sigma_map = {fc.sigma(i).sid: fc.one_form(fc.omega(i)) for i in range(p)}
@@ -485,21 +480,12 @@ def normalized_structure_equations(
         return state.reduce(substitute(form, sigma_map, coeff_sub=engine.iota))
 
     out = EquationSet(fc)
-    keep = set(keep_mc)
     for sym, rhs in restricted.items():
         if sym.kind == "sigma":
-            a = sym.index[0]
-            if a < p:
-                out.set(fc.omega(a), resolve_symbols(rhs))
-            continue
-        if sym.key is not None:
-            if sym.key in state.resolved:
-                continue
-            if keep and sym.key not in keep:
-                continue
+            if sym.index[0] < p:
+                out.set(fc.omega(sym.index[0]), resolve_symbols(rhs))
+        elif sym.key not in state.resolved:
             out.set(sym, resolve_symbols(rhs))
-    for key in keep:
-        out.mark_residual(fc.mc(key[0], key[1]))
     return out
 
 
@@ -521,12 +507,10 @@ def commutator_invariants(engine: RecurrenceEngine, eqs: EquationSet):
             sym = fc.by_id(sid)
             if sym.key is not None:
                 residual_syms.append(sym)
+        # omega symbols sort by index, so (w^i, w^j) with i < j is a word
         for i in range(p):
             for j in range(i + 1, p):
-                word_syms = sorted([fc.omega(i).sid, fc.omega(j).sid], key=lambda s: fc.by_id(s).skey)
-                coeff = rhs.coefficient(tuple(word_syms))
-                sign = 1 if word_syms[0] == fc.omega(i).sid else -1
-                Y[(k, i, j)] = -(coeff if sign > 0 else -coeff)
+                Y[(k, i, j)] = -rhs.coefficient((fc.omega(i).sid, fc.omega(j).sid))
     return Y, residual_syms
 
 
@@ -592,26 +576,10 @@ def _frame_value_tpoly(engine: RecurrenceEngine, key: JetKey, value: ExteriorFor
 
 def determining_annihilator(engine: RecurrenceEngine, n: int):
     """Point-evaluated determining relations as T-polynomials (fully reduced
-    presentation), for solved jets of subject order <= n."""
-    from .involution import TPoly
-
-    system = engine.system
-    m = system.m
-    out = []
-    for key in system.solved_jets(n):
-        terms = {(key[1], key[0]): Q(1)}
-        degenerate = False
-        for (f2, B2), coeff in system.relation(key).items():
-            value = engine.iota(coeff)
-            if not value.is_constant():
-                degenerate = True
-                break
-            if value:
-                terms[(B2, f2)] = terms.get((B2, f2), Q(0)) - value.constant_value()
-        if degenerate:
-            continue
-        out.append(TPoly(m, terms))
-    return [p for p in out if not p.is_zero()]
+    presentation), for solved jets of subject order <= n; a relation with a
+    coefficient that is not constant on the cross-section gives none."""
+    out = [_frame_value_tpoly(engine, key, engine.mu_form(key)) for key in engine.system.solved_jets(n)]
+    return [p for p in out if p is not None and not p.is_zero()]
 
 
 def _sign_normalize_tpoly(poly):

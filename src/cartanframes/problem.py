@@ -336,23 +336,28 @@ def parse_problem(text: str) -> ProblemFile:
     pf = ProblemFile()
     pf.source = text
     raw: dict[str, list] = {"det": [], "xsec": [], "tpoly": [], "spoly": []}
+    # (line, col) of the base, split and coeffs statements and of each name
+    # that base and coeffs list, for the declaration checks
+    at: dict[str, tuple[int, int]] = {}
+    names_at: dict[str, list] = {"base": [], "coeffs": []}
     while toks.peek()[0] != "eof":
         kind, val, line, col = toks.next()
-        if val == "base":
+        if val in ("base", "coeffs"):
+            at[val] = (line, col)
+            names = pf.base if val == "base" else pf.coeffs
             while not toks.at(";"):
-                pf.base.append(toks.next()[1])
+                _, name, l2, c2 = toks.next()
+                names.append(name)
+                names_at[val].append((l2, c2))
             toks.expect(";")
         elif val == "split":
+            at["split"] = (line, col)
             toks.expect("independent")
             while not toks.at("dependent"):
                 pf.independent.append(toks.next()[1])
             toks.expect("dependent")
             while not toks.at(";"):
                 pf.dependent.append(toks.next()[1])
-            toks.expect(";")
-        elif val == "coeffs":
-            while not toks.at(";"):
-                pf.coeffs.append(toks.next()[1])
             toks.expect(";")
         elif val in raw:
             toks.expect("{")
@@ -374,27 +379,33 @@ def parse_problem(text: str) -> ProblemFile:
             continue
         else:
             raise ParseError(f"unknown declaration {val!r}", line, col)
-    _validate_declarations(pf)
+    _validate_declarations(pf, at, names_at)
     _build(pf, raw)
     return pf
 
 
-def _validate_declarations(pf: ProblemFile) -> None:
+def _validate_declarations(pf: ProblemFile, at: dict, names_at: dict) -> None:
+    """Check the base, split and coeffs declarations.  A mismatch is reported
+    where its statement (``at``) or name (``names_at``) was read, a default
+    coefficient name where its base coordinate was, a missing declaration
+    at 0:0."""
     if not pf.base:
         raise ParseError("missing base declaration", 0, 0)
     if not pf.independent or not pf.dependent:
         raise ParseError("missing split declaration", 0, 0)
     if pf.base != pf.independent + pf.dependent:
-        raise ParseError("base must list independents then dependents, matching split", 0, 0)
+        raise ParseError("base must list independents then dependents, matching split", *at["split"])
     if pf.coeffs and len(pf.coeffs) != len(pf.base):
-        raise ParseError("coeffs must name one coefficient field per base variable", 0, 0)
+        raise ParseError("coeffs must name one coefficient field per base variable", *at["coeffs"])
     if not pf.coeffs:
         pf.coeffs = [f"zeta{name}" for name in pf.base]
-    if len(set(pf.coeffs)) != len(pf.coeffs):
-        raise ParseError("coeffs must name distinct coefficient fields", 0, 0)
-    for name in pf.coeffs:
+    where = names_at["coeffs"] or names_at["base"]
+    for i, name in enumerate(pf.coeffs):
+        if name in pf.coeffs[:i]:
+            raise ParseError("coeffs must name distinct coefficient fields", *where[i])
+    for name, pos in zip(pf.coeffs, where):
         if name in pf.base:
-            raise ParseError(f"coeffs must not reuse the base coordinate name {name!r}", 0, 0)
+            raise ParseError(f"coeffs must not reuse the base coordinate name {name!r}", *pos)
 
 
 def _capture_statement(toks: _Tokens) -> list:

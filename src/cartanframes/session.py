@@ -3,7 +3,9 @@ engine -> phantom normalization -> normalized coframe.
 
 The engine evaluates the determining system on the cross-section directly.
 The lift of the system (``Session.mc``) feeds only the restricted structure
-equations and the ``lift`` report.
+equations and the ``lift`` report.  The structure equations are built for
+the basis Maurer-Cartan forms only (``Session.restricted``), and the coframe
+keeps those the frame leaves free.
 
 Each stage is built on first use and kept, so a caller pays only for the
 stages it reads::
@@ -84,16 +86,13 @@ class Session:
 
     @cached_property
     def restricted(self) -> EquationSet:
-        """Structure equations up to ``mc_order + 1``, restricted to the pseudo-group."""
-        eqs = diffeo_structure_equations(self.fc, self.system.m, self.mc_order + 1)
+        """Structure equations of the sigma forms and of the basis Maurer-Cartan
+        forms up to ``mc_order``, restricted to the pseudo-group."""
+        eqs = diffeo_structure_equations(self.fc, self.system, self.mc_order + 1)
         return restrict_to_pseudogroup(eqs, self.mc)
 
     @cached_property
-    def residual(self) -> list:
-        """Maurer-Cartan keys up to ``mc_order`` that the frame leaves free."""
-        return self.state.residual_keys(self.mc_order)
-
-    @cached_property
     def coframe(self) -> EquationSet:
-        """Structure equations of the normalized invariant coframe."""
-        return normalized_structure_equations(self.engine, self.state, self.restricted, keep_mc=self.residual)
+        """Structure equations of the normalized invariant coframe and of the
+        Maurer-Cartan forms up to ``mc_order`` that the frame leaves free."""
+        return normalized_structure_equations(self.engine, self.state, self.restricted)

@@ -26,7 +26,7 @@ from cartanframes.involution import (
     t_span_equal,
 )
 from cartanframes.jets import JetContext
-from conftest import session
+from conftest import diffeo_system, session
 from isotropy import frame_annihilator_full, pstar_basis
 
 Q = Fraction
@@ -92,7 +92,7 @@ def test_criterion_2_diffeo_structure_equations():
 
     jc = JetContext(["x", "u"], ["w"])
     fc = FormContext(jc)
-    eqs = diffeo_structure_equations(fc, 2, 4)
+    eqs = diffeo_structure_equations(fc, diffeo_system(jc, 2), 4)
     mc, f1 = fc.mc, fc.one_form
     sx, su = fc.sigma(0), fc.sigma(1)
     checks = {

@@ -16,7 +16,7 @@ from cartanframes.exterior import (
 )
 from cartanframes.jets import JetContext
 from cartanframes.pseudogroup import lift_system
-from conftest import load_problem
+from conftest import diffeo_system, load_problem
 
 
 @pytest.fixture()
@@ -110,7 +110,7 @@ def test_diffeo_structure_equations_m2_printed_lines(fc2):
     The d(nu_UU) line is derived with mu_U where one printed display shows
     nu_U; the displayed eight-dimensional normalized equations confirm mu_U.
     """
-    eqs = diffeo_structure_equations(fc2, 2, 4)
+    eqs = diffeo_structure_equations(fc2, diffeo_system(fc2.jc, 2), 4)
     mc = fc2.mc
     f1 = fc2.one_form
     sx, su = fc2.sigma(0), fc2.sigma(1)
@@ -148,7 +148,7 @@ def test_diffeo_structure_equations_m2_printed_lines(fc2):
 
 
 def test_diffeo_sigma_equation(fc2):
-    eqs = diffeo_structure_equations(fc2, 2, 1)
+    eqs = diffeo_structure_equations(fc2, diffeo_system(fc2.jc, 2), 1)
     f1 = fc2.one_form
     expect = f1(fc2.mc(0, (1, 0))).wedge(f1(fc2.sigma(0))) + f1(fc2.mc(0, (0, 1))).wedge(f1(fc2.sigma(1)))
     assert eqs.get(fc2.sigma(0)) == expect
@@ -158,7 +158,7 @@ def test_diffeo_d_squared():
     """d^2 = 0 for the diffeomorphism equations using dZ^a = sigma^a + mu^a."""
     jc = JetContext(["x", "u"], ["w"])
     fc = FormContext(jc)
-    eqs = diffeo_structure_equations(fc, 2, 3)
+    eqs = diffeo_structure_equations(fc, diffeo_system(jc, 2), 3)
     failures, audited, skipped = eqs.d_squared_audit(lambda c: fc.form())
     assert failures == []
     # d(mu_B) with #B = 2 mentions order-3 forms, which carry no equation
@@ -175,7 +175,7 @@ def _contact_restricted(order):
     fc = FormContext(jc)
     fc.mc_names[0] = "mu"
     fc.mc_names[1] = "nu"
-    eqs = diffeo_structure_equations(fc, 4, order)
+    eqs = diffeo_structure_equations(fc, system, order)
     return fc, jc, mc, restrict_to_pseudogroup(eqs, mc)
 
 
@@ -225,16 +225,16 @@ def test_restrict_trivial_system_is_identity():
     jc, system, cs = pf.build()
     mc = lift_system(system)
     fc = FormContext(jc)
-    eqs = diffeo_structure_equations(fc, 2, 1)
+    eqs = diffeo_structure_equations(fc, system, 1)
     restricted = restrict_to_pseudogroup(eqs, mc)
     for sym, rhs in eqs.items():
         assert restricted.get(sym) == rhs
 
 
 def dangling_symbols(eqs):
-    """Symbols that a right side mentions without an equation or a residual mark."""
+    """Symbols that a right side mentions without an equation."""
     seen = set().union(*(rhs.symbols() for rhs in eqs.equations.values()))
-    return [eqs.fc.by_id(sid) for sid in sorted(seen - eqs.equations.keys() - eqs.residual)]
+    return [eqs.fc.by_id(sid) for sid in sorted(seen - eqs.equations.keys())]
 
 
 def test_equation_set_closure_reporting(fc2):
@@ -243,8 +243,9 @@ def test_equation_set_closure_reporting(fc2):
     other = fc2.gen("other")
     eqs.set(w, fc2.one_form(other).wedge(fc2.one_form(w)))
     assert [s.name for s in dangling_symbols(eqs)] == ["other"]
-    eqs.mark_residual(fc2.by_id(other.sid))
-    assert dangling_symbols(eqs) == []
+    assert not eqs.closed(eqs.get(w))
+    eqs.set(other, fc2.form())
+    assert dangling_symbols(eqs) == [] and eqs.closed(eqs.get(w))
 
 
 def test_point_restriction_equals_contact_with_mu_p_dropped():
@@ -260,7 +261,7 @@ def test_point_restriction_equals_contact_with_mu_p_dropped():
     fc_p = FormContext(jc)
     fc_p.mc_names[0] = "mu"
     fc_p.mc_names[1] = "nu"
-    eqs = diffeo_structure_equations(fc_p, 4, 2)
+    eqs = diffeo_structure_equations(fc_p, system, 2)
     point = restrict_to_pseudogroup(eqs, mc_p)
 
     def drop_mu_p(form, fc):

@@ -127,6 +127,57 @@ def test_branching_report_names_blocking_invariant():
     assert "Q_P4" in names
 
 
+# The branch-I problem without the normalization q_p4 = 1: Q_P4 stays a free
+# invariant, and only the declaration ``assume q_p4 != 0`` lets it pivot.
+UNSCALED_BRANCH1 = """
+base x u p q;
+split independent x u p dependent q;
+coeffs xi eta alpha gamma;
+det {
+  xi_p = 0; eta_p = 0; xi_q = 0; eta_q = 0; alpha_q = 0;
+  alpha = eta_x + p*(eta_u - xi_x) - p^2*xi_u;
+  gamma = alpha_x + p*alpha_u + q*alpha_p - q*(xi_x + p*xi_u);
+}
+xsec {
+  x = 0; u = 0; p = 0;
+  q_{u^j x^k} = 0;
+  q_{p u^j x^k} = 0;
+  q_{p^2 u^j} = 0;
+  q_{p^2 u^j x} = 0;
+  q_{p^3 u^j} = 0;
+  q_{p^3 u^j x} = 0;
+  q_p2x2 = 1;
+  q_p5 = 0;
+  q_p4u = 0;
+  q_p4x = 0;
+  assume q_p4 != 0;
+  assume q_p2x2 != 0;
+}
+print { mu^x as mu; mu^u as nu; }
+"""
+
+
+def _normalize_report(tmp_path, capsys, text):
+    from cartanframes import cli
+
+    path = tmp_path / "branch1.prob"
+    path.write_text(text)
+    assert cli.main(["run", str(path), "normalize", "--order", "5"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_declared_nonvanishing_invariant_unblocks_its_pivot(tmp_path, capsys):
+    """A pivot on the declared invariant Q_P4 resolves mu_U; without the
+    declaration the same pivot is blocked and the report asks for a branch."""
+    lines = _normalize_report(tmp_path, capsys, UNSCALED_BRANCH1)
+    assert "frame.mu_U = -Q_P5X/(5*Q_P4)*w^x - Q_P5U/(5*Q_P4)*w^u - Q_P6/(5*Q_P4)*w^p" in lines
+    assert "frame.residual = nu_U" in lines
+    assert not any(line.startswith("frame.branching_required") for line in lines)
+    lines = _normalize_report(tmp_path, capsys, UNSCALED_BRANCH1.replace("  assume q_p4 != 0;\n", ""))
+    assert "frame.branching_required = Q_P4" in lines
+    assert not any(line.startswith("frame.mu_U =") for line in lines)
+
+
 def test_order45_recurrence_display(point_universal):
     """All eight printed fourth/fifth-order reduced recurrence relations."""
     fr = point_universal

@@ -18,11 +18,12 @@ from cartanframes.exterior import (
     FormContext,
     diffeo_structure_equations,
     restrict_to_pseudogroup,
+    substitute,
 )
 from cartanframes.frames import CrossSection, RecurrenceEngine
 from cartanframes.jets import JetContext, mi_bump, mi_factorial, mi_up_to, mi_zero
 from cartanframes.pseudogroup import lift_system
-from conftest import session
+from conftest import diffeo_system, session
 
 
 def oracle_total_derivative(jc, f: Poly, i: int) -> Poly:
@@ -293,7 +294,8 @@ def _splits_below(B):
 
 
 def oracle_diffeo_structure_equations(fc, m, N):
-    """The Maurer-Cartan identity summed one scaled wedge at a time."""
+    """The Maurer-Cartan identity summed one scaled wedge at a time, for every
+    d(mu^b_B) with #B <= N-1."""
     eqs = EquationSet(fc)
     for b in range(m):
         rhs = fc.form()
@@ -331,6 +333,8 @@ def oracle_substitute(form, mapping):
 
 
 def oracle_restrict_to_pseudogroup(eqs, mcrel):
+    """Substitute every solved symbol, then drop the equations of the solved
+    symbols themselves."""
     fc = eqs.fc
 
     def mc_form(key):
@@ -370,7 +374,7 @@ def _fresh_fc(m):
 @pytest.mark.parametrize("m, N", [(m, N) for m in (1, 2, 3) for N in range(5)])
 def test_structure_equations_match_the_wedge_by_wedge_oracle(m, N):
     fc, fc_oracle = _fresh_fc(m), _fresh_fc(m)
-    got = diffeo_structure_equations(fc, m, N)
+    got = diffeo_structure_equations(fc, diffeo_system(fc.jc, m), N)
     want = oracle_diffeo_structure_equations(fc_oracle, m, N)
     assert _equations(got) == _equations(want)
     # symbols are registered in the same order, so their ids agree too
@@ -384,7 +388,8 @@ def test_structure_equations_wedge_nothing_and_run_no_gcd(monkeypatch):
 
     monkeypatch.setattr(ExteriorForm, "wedge", _fail)
     monkeypatch.setattr(cartanframes.exact, "poly_gcd", _fail)
-    diffeo_structure_equations(_fresh_fc(3), 3, 3)
+    fc = _fresh_fc(3)
+    diffeo_structure_equations(fc, diffeo_system(fc.jc, 3), 3)
 
 
 def test_mc_formats_a_name_only_for_a_new_symbol(monkeypatch):
@@ -394,11 +399,44 @@ def test_mc_formats_a_name_only_for_a_new_symbol(monkeypatch):
     assert fc.mc(1, (1, 0)) is sym
 
 
-@pytest.mark.parametrize("name, order", [("point", 3), ("contact", 3), ("contact_asprinted", 2), ("pj", 2)])
+def _oracle_fc(s):
+    fc = FormContext(s.jc)
+    fc.mc_names.update(s.fc.mc_names)
+    return fc
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("point", 3), ("contact", 3), ("contact_asprinted", 2), ("pj", 2), ("point_branch1", 3), ("point_branch4", 4)],
+)
 def test_restriction_matches_the_sum_of_pieces_oracle(name, order):
+    """Building only the basis equations and substituting gives what building
+    every equation, substituting and dropping the solved ones gives: the same
+    equations in the same order, word for word."""
     s = session(name)
-    s.system.prolong(order + 1)
-    eqs = diffeo_structure_equations(s.fc, s.system.m, order)
-    got = restrict_to_pseudogroup(eqs, s.mc)
-    want = oracle_restrict_to_pseudogroup(eqs, s.mc)
+    got = restrict_to_pseudogroup(diffeo_structure_equations(s.fc, s.system, order), s.mc)
+    fc = _oracle_fc(s)
+    want = oracle_restrict_to_pseudogroup(oracle_diffeo_structure_equations(fc, s.system.m, order), s.mc)
     assert _equations(got) == _equations(want)
+
+
+def test_point_structure_order_5_builds_only_the_kept_equations():
+    s = session("point")
+    assert len(diffeo_structure_equations(s.fc, s.system, 5).equations) == 34
+    assert len(oracle_diffeo_structure_equations(_oracle_fc(s), s.system.m, 5).equations) == 284
+
+
+def test_substitute_copies_the_words_it_does_not_touch(monkeypatch):
+    """Only a word with a mapped symbol is re-wedged; the result equals the
+    wedge-by-wedge oracle."""
+    fc = _fresh_fc(2)
+    jc = fc.jc
+    a, b, c = (fc.one_form(fc.gen(n)) for n in "abc")
+    x = jc.rvar(jc.x_var(0))
+    form = a.wedge(b).scale(x) + b.wedge(c).scale(3)
+    mapping = {fc.gen("c").sid: a.scale(2) + b}
+    want = oracle_substitute(form, mapping)
+    assert substitute(form, mapping) == want
+    monkeypatch.setattr(ExteriorForm, "wedge", _fail)
+    assert substitute(form, {}) == form
+    assert substitute(form, {fc.gen("d").sid: a}) == form

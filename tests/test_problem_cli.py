@@ -170,11 +170,18 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     plain = "base x u;\nsplit independent x dependent u;\n"
     for head, body, message in [
         (plain, "coeffs xi eta;\ndet { xi_w = 0; }\n", "4:10: cannot read subscript 'w'"),
-        # A coefficient field named like a base coordinate would shadow it.
-        (plain, "coeffs x u;\ndet { x_u = u*u_x; }\n", "0:0: coeffs must not reuse the base coordinate name 'x'"),
-        (plain, "coeffs xi u;\n", "0:0: coeffs must not reuse the base coordinate name 'u'"),
-        # The default field names zeta<name> are checked too.
-        ("base x zetax;\nsplit independent x dependent zetax;\n", "", "0:0: coeffs must not reuse the base coordinate name 'zetax'"),
+        # A coefficient field named like a base coordinate would shadow it;
+        # the error points at that name.
+        (plain, "coeffs x u;\ndet { x_u = u*u_x; }\n", "3:8: coeffs must not reuse the base coordinate name 'x'"),
+        (plain, "coeffs xi u;\n", "3:11: coeffs must not reuse the base coordinate name 'u'"),
+        (plain, "coeffs xi xi;\n", "3:12: coeffs must name distinct coefficient fields"),
+        # The default field names zeta<name> are checked too, each at the base
+        # coordinate it is made from.
+        ("base x zetax;\nsplit independent x dependent zetax;\n", "", "1:6: coeffs must not reuse the base coordinate name 'zetax'"),
+        # A mismatch is reported at its statement, a missing declaration at 0:0.
+        ("base x u;\nsplit independent u dependent x;\n", "", "2:5: base must list independents then dependents, matching split"),
+        (plain, "coeffs xi;\n", "3:6: coeffs must name one coefficient field per base variable"),
+        ("split independent x dependent u;\n", "", "0:0: missing base declaration"),
     ]:
         bad = tmp_path / "bad.prob"
         bad.write_text(head + body)
