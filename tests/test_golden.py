@@ -36,6 +36,9 @@ DEEP = [
     ("pj", "coframe", ["--order", "5"]),
     ("contact", "normalize", ["--order", "6"]),
     ("contact", "normalize", ["--order", "8"]),
+    ("contact", "normalize", ["--order", "10"]),
+    ("point_branch1", "coframe", ["--order", "9", "--mc-order", "5"]),
+    ("point_branch4", "coframe", ["--order", "7", "--mc-order", "3"]),
 ]
 # Every shipped problem at the CLI defaults.
 DEFAULTS = [
