@@ -14,6 +14,7 @@ forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .exact import QONE, QZERO, ExactError, ExactMatrix, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
@@ -29,6 +30,7 @@ from .jets import (
     Coord,
     Counts,
     JetContext,
+    mi_add,
     mi_bump,
     mi_divides,
     mi_order,
@@ -176,6 +178,8 @@ class RecurrenceEngine:
         self._mu_cache: dict[JetKey, ExteriorForm] = {}
         self._iota_cache: dict[int, tuple[Fraction, ExpKey]] = {}
         self._field_jet: dict[int, JetKey | bool] = {}
+        self._depth_cache: dict[tuple[int, Counts], int] = {}
+        self._vanishes: dict[Coord, bool] = {}
 
     # -- invariantization ------------------------------------------------------
 
@@ -295,6 +299,49 @@ class RecurrenceEngine:
             out = out + self.mu_form(fkey).scale(coeff)
         return out
 
+    def _depth(self, vid: int, R: Counts) -> int:
+        """The fewest total derivatives, drawn from the multiset ``R``, that
+        turn the variable ``vid`` into a coordinate that iota does not send to
+        0; ``|R| + 1`` when no such derivatives exist.  A field jet counts 0:
+        the lift sends it to a Maurer-Cartan form, never to 0.  Stored in
+        ``_depth_cache``."""
+        decoded = self.jc.decode(self.jc.ctx.var_by_id(vid))
+        depth = 0
+        if decoded[0] == "x":
+            if self.cs.value(decoded) == 0:
+                depth = 1 if R[decoded[1]] else sum(R) + 1
+        elif decoded[0] == "u":
+            alpha, K = decoded[1], decoded[2]
+            vanishes = self._vanishes
+            depth = sum(R) + 1
+            for L in product(*(range(r + 1) for r in R)):
+                coord = ("u", alpha, mi_add(K, L))
+                zero = vanishes.get(coord)
+                if zero is None:
+                    zero = vanishes[coord] = self.cs.value(coord) == 0
+                if not zero:
+                    depth = min(depth, mi_order(L))
+        self._depth_cache[(vid, R)] = depth
+        return depth
+
+    def _survives(self, key: ExpKey, R: Counts) -> bool:
+        """Whether the monomial ``key`` can still have a nonzero iota value
+        once the total derivatives in the multiset ``R`` are applied.  Each
+        derivative hits one factor, so a factor v^e needs e * depth(v) of
+        them, and the factors together need at most |R|.  This is exact:
+        a rejected monomial contributes nothing to the lift."""
+        budget = sum(R)
+        need = 0
+        depths = self._depth_cache
+        for vid, e in key:
+            depth = depths.get((vid, R))
+            if depth is None:
+                depth = self._depth(vid, R)
+            need += e * depth
+            if need > budget:
+                return False
+        return True
+
     def recurrence(self, subject: Coord) -> ExteriorForm:
         """d(iota(subject)): a one-form in omega^j and basis Maurer-Cartan symbols."""
         fc = self.fc
@@ -302,7 +349,7 @@ class RecurrenceEngine:
             i = subject[1]
             return fc.one_form(fc.omega(i)) + self.mu_form((i, mi_zero(self.system.m)))
         alpha, J = subject[1], subject[2]
-        return self.horizontal(alpha, J) + self.lift_linear(self.generator.prolong(alpha, J))
+        return self.horizontal(alpha, J) + self.lift_linear(self.generator.prolong(alpha, J, self._survives))
 
     # -- normalization -----------------------------------------------------------------
 

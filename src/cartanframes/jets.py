@@ -276,14 +276,6 @@ class JetContext:
         dd = self.total_derivative_poly(f.den, i)
         return RatFn(dn * f.den - f.num * dd, f.den * f.den)
 
-    def iterated_derivative(self, f, J: Counts):
-        """Composition of total derivatives in the order listed by J."""
-        out = f
-        for i, c in enumerate(J):
-            for _ in range(c):
-                out = self.total_derivative(out, i)
-        return out
-
     def d_hat(self, f, coeffs: Sequence[Poly | RatFn]):
         """Directional total derivative sum_i coeffs[i] * D_{x^i} f."""
         out = None

@@ -128,7 +128,10 @@ class _Tokens:
 
     def peek(self, offset=0):
         j = self.i + offset
-        return self.tokens[j] if j < len(self.tokens) else ("eof", "", -1, -1)
+        if j < len(self.tokens):
+            return self.tokens[j]
+        # the end of input is reported where the last token ends
+        return ("eof", "", *(self.tokens[-1][2:] if self.tokens else (0, 0)))
 
     def next(self):
         tok = self.peek()
@@ -142,6 +145,15 @@ class _Tokens:
 
     def at(self, value: str) -> bool:
         return self.peek()[1] == value
+
+    def until(self, value: str, statement: str):
+        """The tokens up to the next ``value``, which is left unread; the end
+        of input is an unterminated ``statement``."""
+        while not self.at(value):
+            kind, val, line, col = self.next()
+            if kind == "eof":
+                raise ParseError(f"unterminated {statement} statement: expected {value!r}", line, col)
+            yield kind, val, line, col
 
 
 # -- subscript handling ---------------------------------------------------------
@@ -296,13 +308,13 @@ class _ExprParser:
     def parse_term(self) -> _ExprValue:
         value = self.parse_factor()
         while self.toks.peek()[1] in ("*", "/"):
-            op = self.toks.next()[1]
+            _, op, line, col = self.toks.next()
             rhs = self.parse_factor()
             if op == "*":
                 value = value.mul(rhs)
             else:
                 if rhs.linear or rhs.scalar.is_zero():
-                    raise ExactError("division only by nonzero scalar expressions")
+                    raise ParseError("division only by nonzero scalar expressions", line, col)
                 value = value.mul(_ExprValue(self.jc, rhs.scalar.inverse(), {}))
         return value
 
@@ -345,19 +357,16 @@ def parse_problem(text: str) -> ProblemFile:
         if val in ("base", "coeffs"):
             at[val] = (line, col)
             names = pf.base if val == "base" else pf.coeffs
-            while not toks.at(";"):
-                _, name, l2, c2 = toks.next()
+            for _, name, l2, c2 in toks.until(";", val):
                 names.append(name)
                 names_at[val].append((l2, c2))
             toks.expect(";")
         elif val == "split":
             at["split"] = (line, col)
             toks.expect("independent")
-            while not toks.at("dependent"):
-                pf.independent.append(toks.next()[1])
+            pf.independent.extend(name for _, name, _, _ in toks.until("dependent", val))
             toks.expect("dependent")
-            while not toks.at(";"):
-                pf.dependent.append(toks.next()[1])
+            pf.dependent.extend(name for _, name, _, _ in toks.until(";", val))
             toks.expect(";")
         elif val in raw:
             toks.expect("{")
@@ -409,6 +418,7 @@ def _validate_declarations(pf: ProblemFile, at: dict, names_at: dict) -> None:
 
 
 def _capture_statement(toks: _Tokens) -> list:
+    """The tokens of one statement, its closing ``;`` included."""
     out = []
     depth = 0
     while True:
@@ -416,7 +426,7 @@ def _capture_statement(toks: _Tokens) -> list:
         if kind == "eof":
             raise ParseError("unterminated statement", line, col)
         if val == ";" and depth == 0:
-            toks.next()
+            out.append(toks.next())
             return out
         if val == "{":
             depth += 1
@@ -434,7 +444,7 @@ def _build(pf: ProblemFile, raw: dict[str, list]) -> None:
     fields = [jc.field(n, base_coords) for n in pf.coeffs]
     system = DeterminingSystem(jc, fields)
     for stmt in raw["det"]:
-        toks = _Tokens(tokens=stmt + [("op", ";", -1, -1)])
+        toks = _Tokens(tokens=stmt)
         parser = _ExprParser(toks, pf, jc)
         kind, stem, line, col = toks.next()
         if kind != "name" or stem not in pf.coeffs:
@@ -461,7 +471,7 @@ def _build(pf: ProblemFile, raw: dict[str, list]) -> None:
 
 
 def _build_xsec_statement(pf: ProblemFile, jc: JetContext, cs: CrossSection, stmt: list) -> None:
-    toks = _Tokens(tokens=stmt + [("op", ";", -1, -1)])
+    toks = _Tokens(tokens=stmt)
     kind, stem, line, col = toks.next()
     if stem == "assume":
         kind2, name2, l2, c2 = toks.next()
@@ -521,6 +531,8 @@ def _parse_rational(toks) -> Fraction:
         if kind2 != "num":
             raise ParseError("expected denominator", l2, c2)
         den = int(val2)
+        if not den:
+            raise ParseError("zero denominator", l2, c2)
     return Fraction(sign * num, den)
 
 
@@ -537,7 +549,7 @@ def _module_blocks(pf: ProblemFile):
 def _build_module_statement(stmt: list, letter: str, varnames: list[str], targets: list[str]) -> TPolyDecl:
     """One statement of a module-polynomial block, like ``t_x^2*T^u - T^p;``."""
     upper = letter.upper()
-    toks = _Tokens(tokens=stmt + [("op", ";", -1, -1)])
+    toks = _Tokens(tokens=stmt)
     terms = []
     sign = 1
     coeff = Fraction(1)

@@ -281,35 +281,55 @@ def identity_targets(jc: JetContext) -> tuple[list[RatFn], list[RatFn]]:
 # -- infinitesimal generators -------------------------------------------------------
 
 
+def _keep_every_term(key, R: Counts) -> bool:
+    return True
+
+
 class InfinitesimalGenerator:
-    """A vector field xi^i d/dx^i + phi_alpha d/du^alpha with JetFunction
+    """A vector field xi^i d/dx^i + phi_alpha d/du^alpha with polynomial
     coefficients (which may involve symbolic coefficient fields)."""
 
-    def __init__(self, jc: JetContext, xi: Sequence[RatFn | Poly], phi: Sequence[RatFn | Poly]):
+    def __init__(self, jc: JetContext, xi: Sequence[Poly], phi: Sequence[Poly]):
         if len(xi) != jc.p or len(phi) != jc.q:
             raise ExactError("coefficient count mismatch")
         self.jc = jc
         self.xi = list(xi)
         self.phi = list(phi)
-
-    def characteristic(self) -> list:
-        """Q^alpha = phi_alpha - sum_i xi^i u^alpha_i."""
-        jc = self.jc
-        out = []
+        self._characteristic = []
         for alpha in range(jc.q):
             qa = self.phi[alpha]
             for i in range(jc.p):
                 qa = qa - self.xi[i] * jc.pvar(jc.u_var(alpha, mi_bump(mi_zero(jc.p), i)))
-            out.append(qa)
-        return out
+            self._characteristic.append(qa)
 
-    def prolong(self, alpha: int, J: Counts):
-        """Coefficient phi^J_alpha = D_J Q^alpha + sum_i xi^i u^alpha_{J,i}."""
+    def characteristic(self) -> list[Poly]:
+        """Q^alpha = phi_alpha - sum_i xi^i u^alpha_i."""
+        return self._characteristic
+
+    def prolong(self, alpha: int, J: Counts, survives=_keep_every_term) -> Poly:
+        """Coefficient phi^J_alpha = D_J Q^alpha + sum_i xi^i u^alpha_{J,i},
+        less the monomials that ``survives`` rejects.
+
+        ``survives(key, R)`` tells whether the monomial ``key`` can still
+        yield a kept term once the total derivatives left in the multi-index
+        ``R`` are applied.  The test is made on Q^alpha and after each
+        derivative, so a rejected monomial is never differentiated; by
+        default every monomial is kept."""
         jc = self.jc
-        total = jc.iterated_derivative(self.characteristic()[alpha], J)
+        R = list(J)
+
+        def kept(f: Poly) -> Poly:
+            rest = tuple(R)
+            return Poly(jc.ctx, {key: c for key, c in f.terms.items() if survives(key, rest)})
+
+        total = kept(self._characteristic[alpha])
+        for i, count in enumerate(J):
+            for _ in range(count):
+                R[i] -= 1
+                total = kept(jc.total_derivative_poly(total, i))
         for i in range(jc.p):
             total = total + self.xi[i] * jc.pvar(jc.u_var(alpha, mi_bump(J, i)))
-        return total
+        return kept(total)
 
 
 def universal_generator(jc: JetContext, system: DeterminingSystem) -> InfinitesimalGenerator:

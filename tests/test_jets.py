@@ -64,12 +64,6 @@ def test_total_derivatives_commute(ode_jets):
             assert dij == dji
 
 
-def test_iterated_derivative(plane):
-    u = plane.pvar(plane.u_var(0, (0,)))
-    assert plane.iterated_derivative(u, (0,)) == u  # empty-count positions
-    assert plane.iterated_derivative(u, (2,)) == plane.pvar(plane.u_var(0, (2,)))
-
-
 def test_iterated_derivative_order_independent(ode_jets):
     jc = ode_jets
     f = jc.pvar(jc.u_var(0, (0, 1, 0))) * jc.pvar(jc.u_var(0, (0, 0, 1)))

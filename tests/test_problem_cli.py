@@ -191,6 +191,83 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         assert captured.err == f"{bad}:{message}\n"
 
 
+def _src_dir() -> str:
+    import cartanframes
+
+    return str(pathlib.Path(cartanframes.__file__).resolve().parent.parent)
+
+
+# These run in a child process: an input on which the parser loops fails the
+# time bound instead of hanging the suite.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("base x u", "1:8: unterminated base statement: expected ';'"),
+        ("base x u;\nsplit independent x u", "2:21: unterminated split statement: expected 'dependent'"),
+        ("base x u;\nsplit independent x dependent u", "2:31: unterminated split statement: expected ';'"),
+        ("base x u;\nsplit independent x dependent u;\ncoeffs xi eta", "3:13: unterminated coeffs statement: expected ';'"),
+    ],
+)
+def test_cli_unterminated_name_list_is_a_parse_error(tmp_path, text, message):
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "cartanframes.cli", "run", str(bad), "lift"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _src_dir()},
+        timeout=10,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"{bad}:{message}\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("xsec { x = ; }", "4:12: expected a rational constant"),
+        ("det { xi = ; }", "4:12: unexpected token ';'"),
+        ("det { xi = eta_x + ; }", "4:20: unexpected token ';'"),
+        ("xsec { x = 1/0; }", "4:14: zero denominator"),
+        ("det { xi = eta/(x - x); }", "4:15: division only by nonzero scalar expressions"),
+    ],
+)
+def test_statement_errors_are_positioned(body, message):
+    text = "base x u;\nsplit independent x dependent u;\ncoeffs xi eta;\n" + body
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == message
+
+
+PREFIX_CHECK = """
+import pathlib, sys
+from cartanframes.problem import ParseError, parse_problem
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.prob")):
+    text = path.read_text()
+    for end in range(len(text) + 1):
+        try:
+            parse_problem(text[:end])
+        except ParseError:
+            pass
+        except Exception as err:
+            sys.exit(f"{path.name}, first {end} characters: {type(err).__name__}: {err}")
+"""
+
+
+def test_every_prefix_of_a_shipped_problem_parses_or_raises_parse_error():
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", PREFIX_CHECK, str(PROBLEMS)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _src_dir()},
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("parse_problem did not return within 60 s on the prefixes of the shipped problems")
+    assert result.returncode == 0, result.stderr
+
+
 def test_cli_lift_report():
     code, out = _run_cli("run", str(PROBLEMS / "contact.prob"), "lift", "--order", "1")
     assert code == 0
@@ -260,11 +337,8 @@ def test_cli_entry_point_installed():
 def test_cli_import_skips_dataclasses_and_inspect():
     """Every cartan-frames process pays the CLI's imports; dataclasses pulls
     in inspect, which alone costs more than the package."""
-    import cartanframes
-
-    src = str(pathlib.Path(cartanframes.__file__).resolve().parent.parent)
     code = "import sys, cartanframes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _src_dir()})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
