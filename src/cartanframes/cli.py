@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from fractions import Fraction
 
@@ -254,6 +253,8 @@ def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
             raise UsageError(f"--data {path}: {name}.grids is not a list of lists of numbers")
         if not isinstance(invariants, list) or not all(isinstance(t, str) for t in invariants):
             raise UsageError(f"--data {path}: {name}.invariants is not a list of strings")
+        if not invariants:
+            raise UsageError(f"--data {path}: {name}.invariants is empty")
         grids = [[_data_number(path, f"{name}.grids[{i}][{j}]", v, float) for j, v in enumerate(g)] for i, g in enumerate(grids)]
         exprs = [_parse_option_expr(jc, "--data", text) for text in invariants]
         funcs = [_to_callable(jc, params, e) for e in exprs]
@@ -274,6 +275,8 @@ def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
 
 
 def _load_signature_data(path: str) -> dict:
+    import json  # only signature-compare reads JSON; every other process skips the import
+
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -295,6 +298,8 @@ def _data_number(path: str, key: str, value, convert):
     try:
         return convert(value)
     except (TypeError, ValueError):
+        import json
+
         raise UsageError(f"--data {path}: {key} is not a number: {json.dumps(value)}") from None
 
 

@@ -247,23 +247,28 @@ def exterior_derivative(
     ``coeff_rule`` returns the 1-form differential of a scalar coefficient.
     """
     fc = form.fc
-    out = fc.form()
+    out: dict[Word, RatFn] = {}
     for word, c in form.terms.items():
-        base = ExteriorForm(fc, {word: fc.jc.ratfn(1)})
-        dc = coeff_rule(c)
-        if not dc.is_zero():
-            out = out + dc.wedge(base)
+        for dword, dcoeff in coeff_rule(c).terms.items():
+            merged = _merge_words(fc, dword, word)
+            if merged is not None:
+                _add_term(out, merged[0], dcoeff if merged[1] > 0 else -dcoeff)
         for pos, sid in enumerate(word):
             sym = fc.by_id(sid)
             rule = sym_rules(sym)
             if rule is None:
                 raise ExactError(f"incomplete structure rules: no d({sym.name})")
-            if rule.is_zero():
-                continue
-            before = ExteriorForm(fc, {tuple(word[:pos]): c if pos % 2 == 0 else -c})
-            after = ExteriorForm(fc, {tuple(word[pos + 1 :]): fc.jc.ratfn(1)})
-            out = out + before.wedge(rule).wedge(after)
-    return out
+            rest = word[:pos] + word[pos + 1 :]
+            for rword, rcoeff in rule.terms.items():
+                merged = _merge_words(fc, rword, rest)
+                if merged is None:
+                    continue
+                # d passes the pos symbols before it, and the rule word moves
+                # in front of them: the sign (-1)^(pos * (1 + len(rword)))
+                sign = -merged[1] if pos * (1 + len(rword)) % 2 else merged[1]
+                term = c * rcoeff
+                _add_term(out, merged[0], term if sign > 0 else -term)
+    return ExteriorForm(fc, out)
 
 
 class EquationSet:

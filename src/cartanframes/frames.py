@@ -13,6 +13,7 @@ forms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -763,7 +764,7 @@ class SignatureReport:
 class SampledSubmanifold:
     """A parameter mesh plus closed-form invariant functions.
 
-    ``grids`` is a list of 1-d numpy arrays (one per submanifold parameter);
+    ``grids`` is a list of sequences of floats (one per submanifold parameter);
     ``invariants`` maps a parameter point to the value of each generating
     invariant; ``derive`` gives the invariant total derivative operators as
     function-to-function transformers.
@@ -776,8 +777,6 @@ class SampledSubmanifold:
 
 
 def signature_compare(S: SampledSubmanifold, Sbar: SampledSubmanifold, n: int, tol: float = 1e-9):
-    import numpy as np
-
     if len(S.derive) != len(Sbar.derive):
         return SignatureReport([], None, None, False, False, "parameter dimension mismatch")
     pA = _signature_profile(S, n, tol)
@@ -789,7 +788,7 @@ def signature_compare(S: SampledSubmanifold, Sbar: SampledSubmanifold, n: int, t
     s = pA["order"]
     cloudA = _signature_cloud(S, s + 1)
     cloudB = _signature_cloud(Sbar, s + 1)
-    scale = max(1.0, float(np.abs(cloudA).max()), float(np.abs(cloudB).max()))
+    scale = max(1.0, max(abs(v) for row in cloudA + cloudB for v in row))
     gap = max(_directed_min_distance(cloudA, cloudB), _directed_min_distance(cloudB, cloudA))
     overlap_tol = max(tol, 1e-7) * scale
     return SignatureReport(pA["ranks"], s, pA["rank"], bool(gap <= overlap_tol), True)
@@ -809,31 +808,23 @@ def _signature_functions(S: SampledSubmanifold, n: int):
 
 
 def _signature_cloud(S: SampledSubmanifold, n: int):
-    import itertools as it
-
-    import numpy as np
-
+    """One row of signature function values per mesh point."""
     levels = _signature_functions(S, n)
     funcs = [f for level in levels for f in level]
-    points = list(it.product(*[list(g) for g in S.grids]))
-    return np.array([[float(f(*pt)) for f in funcs] for pt in points])
+    return [[float(f(*pt)) for f in funcs] for pt in product(*S.grids)]
 
 
 def _signature_profile(S: SampledSubmanifold, n: int, tol: float):
-    import itertools as it
-
-    import numpy as np
-
     levels = _signature_functions(S, n)
     p = len(S.grids)
-    interior = list(it.product(*[range(1, len(g) - 1) for g in S.grids]))
+    interior = list(product(*[range(1, len(g) - 1) for g in S.grids]))
     ranks = []
     regular = True
     for k in range(n + 1):
         funcs = [f for level in levels[: k + 1] for f in level]
         point_ranks = set()
         for idx in interior:
-            jac = np.zeros((len(funcs), p))
+            jac = [[0.0] * p for _ in funcs]
             for direction in range(p):
                 lo = list(idx)
                 hi = list(idx)
@@ -843,10 +834,10 @@ def _signature_profile(S: SampledSubmanifold, n: int, tol: float):
                 pt_hi = tuple(S.grids[d][hi[d]] for d in range(p))
                 h = S.grids[direction][hi[direction]] - S.grids[direction][lo[direction]]
                 for r, f in enumerate(funcs):
-                    jac[r, direction] = (float(f(*pt_hi)) - float(f(*pt_lo))) / h
-            sv = np.linalg.svd(jac, compute_uv=False)
-            cutoff = max(tol * (sv[0] if len(sv) else 0.0), 1e-12)
-            point_ranks.add(int((sv > cutoff).sum()))
+                    jac[r][direction] = (float(f(*pt_hi)) - float(f(*pt_lo))) / h
+            sv = _singular_values(jac, p)
+            cutoff = max(tol * (sv[0] if sv else 0.0), 1e-12)
+            point_ranks.add(sum(1 for v in sv if v > cutoff))
         if len(point_ranks) != 1:
             regular = False
             ranks.append(None)
@@ -861,11 +852,43 @@ def _signature_profile(S: SampledSubmanifold, n: int, tol: float):
     return {"ranks": ranks, "order": order, "rank": rank, "regular": regular}
 
 
-def _directed_min_distance(A, B):
-    import numpy as np
+_JACOBI_SWEEPS = 60
 
-    best = np.inf
-    for row in A:
-        d = np.sqrt(((B - row) ** 2).sum(axis=1)).min()
-        best = min(best, float(d))
-    return best
+
+def _singular_values(rows: list, p: int) -> list:
+    """The ``min(m, p)`` singular values of the ``m x p`` matrix ``rows``,
+    largest first, by one-sided Jacobi sweeps over the columns of whichever
+    of the matrix and its transpose has fewer columns.  The entries are
+    scaled by a power of two first, so that their squares do not underflow."""
+    cols = [list(col) for col in zip(*rows)] if p <= len(rows) else [list(row) for row in rows]
+    big = max((abs(x) for col in cols for x in col), default=0.0)
+    if big == 0.0:
+        return [0.0] * len(cols)
+    shift = math.frexp(big)[1]
+    cols = [[math.ldexp(x, -shift) for x in col] for col in cols]
+    eps = math.ulp(1.0)
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for i in range(len(cols) - 1):
+            for j in range(i + 1, len(cols)):
+                a, b = cols[i], cols[j]
+                gamma = math.fsum(x * y for x, y in zip(a, b))
+                alpha = math.fsum(x * x for x in a)
+                beta = math.fsum(y * y for y in b)
+                if abs(gamma) <= eps * math.sqrt(alpha) * math.sqrt(beta):
+                    continue
+                rotated = True
+                # the rotation that zeroes the (i, j) entry of the Gram matrix
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                cols[i] = [c * x - s * y for x, y in zip(a, b)]
+                cols[j] = [s * x + c * y for x, y in zip(a, b)]
+        if not rotated:
+            break
+    return sorted((math.ldexp(math.hypot(*col), shift) for col in cols), reverse=True)
+
+
+def _directed_min_distance(A, B):
+    return min((math.dist(a, b) for a in A for b in B), default=math.inf)

@@ -256,8 +256,7 @@ class _ExprValue:
         return _ExprValue(self.jc, -self.scalar, {k: -c for k, c in self.linear.items()})
 
     def mul(self, other):
-        if self.linear and other.linear:
-            raise ExactError("relation is not linear in the coefficient fields")
+        """The product; at most one factor may hold field jets."""
         if other.linear:
             self, other = other, self
         lin = {k: c * other.scalar for k, c in self.linear.items()}
@@ -265,8 +264,7 @@ class _ExprValue:
         return _ExprValue(self.jc, self.scalar * other.scalar, lin)
 
     def pow(self, n: int):
-        if self.linear:
-            raise ExactError("cannot exponentiate a field-jet expression")
+        """The ``n``-th power of a value without field jets."""
         result = self.jc.ratfn(1)
         for _ in range(n):
             result = result * self.scalar
@@ -274,10 +272,13 @@ class _ExprValue:
 
 
 class _ExprParser:
-    def __init__(self, toks: _Tokens, pf: ProblemFile, jc: JetContext):
+    """Reads one expression; ``subject`` names it in error messages."""
+
+    def __init__(self, toks: _Tokens, pf: ProblemFile, jc: JetContext, subject: str = "the expression"):
         self.toks = toks
         self.pf = pf
         self.jc = jc
+        self.subject = subject
 
     def resolve_name(self, stem: str, line: int, col: int) -> _ExprValue:
         jc = self.jc
@@ -311,6 +312,8 @@ class _ExprParser:
             _, op, line, col = self.toks.next()
             rhs = self.parse_factor()
             if op == "*":
+                if value.linear and rhs.linear:
+                    raise ParseError(f"{self.subject} is not linear in the coefficient fields", line, col)
                 value = value.mul(rhs)
             else:
                 if rhs.linear or rhs.scalar.is_zero():
@@ -332,10 +335,12 @@ class _ExprParser:
         else:
             raise ParseError(f"unexpected token {val!r}", line, col)
         if self.toks.at("^"):
-            self.toks.next()
+            _, _, line, col = self.toks.next()
             kind2, val2, l2, c2 = self.toks.next()
             if kind2 != "num":
                 raise ParseError("expected integer exponent", l2, c2)
+            if base.linear:
+                raise ParseError(f"cannot exponentiate a field-jet expression in {self.subject}", line, col)
             base = base.pow(int(val2))
         return base
 
@@ -445,14 +450,16 @@ def _build(pf: ProblemFile, raw: dict[str, list]) -> None:
     system = DeterminingSystem(jc, fields)
     for stmt in raw["det"]:
         toks = _Tokens(tokens=stmt)
-        parser = _ExprParser(toks, pf, jc)
         kind, stem, line, col = toks.next()
         if kind != "name" or stem not in pf.coeffs:
             raise ParseError("determining relation must be solved for a coefficient jet", line, col)
         fidx = pf.coeffs.index(stem)
         B = _parse_subscript(toks, pf.base, "wildcards not allowed in determining relations", line, col)
+        lead = jc.field_jet_name(fidx, B)
+        if (fidx, B) in system.original:
+            raise ParseError(f"duplicate relation for {lead}", line, col)
         toks.expect("=")
-        value = parser.parse_expr()
+        value = _ExprParser(toks, pf, jc, f"the relation for {lead}").parse_expr()
         if not value.scalar.is_zero():
             raise ParseError("right side must be linear in the coefficient fields", line, col)
         if toks.peek()[1] != ";":

@@ -2,7 +2,8 @@
 the total derivative as a sum over variables of ``partial(f, v) * D_i(v)``,
 invariantization as a product of ``RatFn``s, the product by a constant
 through the full gcd normalization, and the structure equations, the
-pull-back and the restriction to a pseudo-group as sums of wedges."""
+pull-back, the restriction to a pseudo-group and the exterior derivative as
+sums of wedges."""
 
 import itertools
 from fractions import Fraction
@@ -17,6 +18,7 @@ from cartanframes.exterior import (
     ExteriorForm,
     FormContext,
     diffeo_structure_equations,
+    exterior_derivative,
     restrict_to_pseudogroup,
     substitute,
 )
@@ -440,3 +442,74 @@ def test_substitute_copies_the_words_it_does_not_touch(monkeypatch):
     monkeypatch.setattr(ExteriorForm, "wedge", _fail)
     assert substitute(form, {}) == form
     assert substitute(form, {fc.gen("d").sid: a}) == form
+
+
+def oracle_exterior_derivative(form, sym_rules, coeff_rule):
+    """Graded Leibniz rule one wedge at a time: dc ^ word, then
+    before ^ d(symbol) ^ after for each position, each added as a new form."""
+    fc = form.fc
+    out = fc.form()
+    for word, c in form.terms.items():
+        base = ExteriorForm(fc, {word: fc.jc.ratfn(1)})
+        dc = coeff_rule(c)
+        if not dc.is_zero():
+            out = out + dc.wedge(base)
+        for pos, sid in enumerate(word):
+            rule = sym_rules(fc.by_id(sid))
+            if rule.is_zero():
+                continue
+            before = ExteriorForm(fc, {tuple(word[:pos]): c if pos % 2 == 0 else -c})
+            after = ExteriorForm(fc, {tuple(word[pos + 1 :]): fc.jc.ratfn(1)})
+            out = out + before.wedge(rule).wedge(after)
+    return out
+
+
+D_FC = _fresh_fc(3)
+D_SYMS = [D_FC.omega(0), D_FC.omega(1), D_FC.sigma(2)] + [D_FC.gen(n) for n in "abc"]
+D_X = [D_FC.jc.x_var(i) for i in range(2)]
+
+
+def _d_coeff(c):
+    out = D_FC.form()
+    for i, var in enumerate(D_X):
+        out = out + D_FC.one_form(D_FC.omega(i), c.partial(var))
+    return out
+
+
+def d_forms(max_terms=4):
+    """Forms over D_SYMS of mixed degree 0..3 whose coefficients are small
+    polynomials in x, y, some divided by 1 + x^2."""
+    ctx = D_FC.jc.ctx
+    monomial = st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool), st.integers(0, 2), st.integers(0, 2)
+    ).map(lambda t: ctx.poly(t[0]) * ctx.poly_var(D_X[0], t[1]) * ctx.poly_var(D_X[1], t[2]))
+
+    def coeff(monomials, divide):
+        num = RatFn(sum(monomials, ctx.poly(0)), ctx.poly(1))
+        return num / RatFn(ctx.poly(1) + ctx.poly_var(D_X[0], 2), ctx.poly(1)) if divide else num
+
+    coeffs = st.builds(coeff, st.lists(monomial, min_size=1, max_size=3), st.booleans())
+    term = st.tuples(coeffs, st.lists(st.sampled_from(D_SYMS), max_size=3, unique=True))
+
+    def build(terms):
+        out = D_FC.form()
+        for c, syms in terms:
+            piece = D_FC.scalar_form(c)
+            for sym in syms:
+                piece = piece.wedge(D_FC.one_form(sym))
+            out = out + piece
+        return out
+
+    return st.lists(term, max_size=max_terms).map(build)
+
+
+@given(d_forms(), st.lists(d_forms(3), min_size=len(D_SYMS), max_size=len(D_SYMS)))
+@settings(max_examples=60, deadline=None)
+def test_exterior_derivative_matches_the_wedge_by_wedge_oracle(form, rules):
+    """Any form and any rules, of any degrees, inhomogeneous ones included:
+    the same words with the same coefficients, in the same order."""
+    by_sid = {sym.sid: rule for sym, rule in zip(D_SYMS, rules)}
+    sym_rules = lambda sym: by_sid[sym.sid]
+    got = exterior_derivative(form, sym_rules, _d_coeff)
+    want = oracle_exterior_derivative(form, sym_rules, _d_coeff)
+    assert list(got.terms.items()) == list(want.terms.items())

@@ -182,6 +182,12 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         ("base x u;\nsplit independent u dependent x;\n", "", "2:5: base must list independents then dependents, matching split"),
         (plain, "coeffs xi;\n", "3:6: coeffs must name one coefficient field per base variable"),
         ("split independent x dependent u;\n", "", "0:0: missing base declaration"),
+        # Errors found while a relation is evaluated point at the operator
+        # or the repeated lead, and name the relation by its lead jet.
+        (plain, "coeffs xi eta;\ndet { xi = eta*eta; }\n", "4:15: the relation for xi is not linear in the coefficient fields"),
+        (plain, "coeffs xi eta;\ndet { xi = eta^2; }\n", "4:15: cannot exponentiate a field-jet expression in the relation for xi"),
+        (plain, "coeffs xi eta;\ndet { xi = 0; xi = eta; }\n", "4:16: duplicate relation for xi"),
+        (plain, "coeffs xi eta;\ndet { xi_x = eta; xi_x = 0; }\n", "4:20: duplicate relation for xi_x"),
     ]:
         bad = tmp_path / "bad.prob"
         bad.write_text(head + body)
@@ -336,8 +342,10 @@ def test_cli_entry_point_installed():
 
 def test_cli_import_skips_dataclasses_and_inspect():
     """Every cartan-frames process pays the CLI's imports; dataclasses pulls
-    in inspect, which alone costs more than the package."""
-    code = "import sys, cartanframes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    in inspect, which alone costs more than the package.  json and numpy
+    are not imported either: only signature-compare reads JSON, and numpy
+    is a test dependency."""
+    code = "import sys, cartanframes.cli; print(sorted({'dataclasses', 'inspect', 'json', 'numpy'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _src_dir()})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -392,6 +400,7 @@ SIDE = '{"grids": [[0, 0.5, 1]], "invariants": ["s"]}'
         ('{"parameters": ["s"], "S": {"grids": ["ab"], "invariants": ["s"]}, "Sbar": %s}' % SIDE, "S.grids is not a list of lists of numbers"),
         ('{"parameters": ["s"], "S": {"grids": 5, "invariants": ["s"]}, "Sbar": %s}' % SIDE, "S.grids is not a list of lists of numbers"),
         ('{"parameters": ["s"], "S": {"grids": [[0]], "invariants": [3]}, "Sbar": %s}' % SIDE, "S.invariants is not a list of strings"),
+        ('{"parameters": ["s"], "S": %s, "Sbar": {"grids": [[0, 0.5, 1]], "invariants": []}}' % SIDE, "Sbar.invariants is empty"),
         ('{"parameters": ["s"], "order": "two", "S": %s, "Sbar": %s}' % (SIDE, SIDE), 'order is not a number: "two"'),
         ('{"parameters": ["s"], "tol": "tight", "S": %s, "Sbar": %s}' % (SIDE, SIDE), 'tol is not a number: "tight"'),
         ('{"parameters": ["s"], "tol": [1], "S": %s, "Sbar": %s}' % (SIDE, SIDE), "tol is not a number: [1]"),
