@@ -32,7 +32,6 @@ from .involution import (
     cartan_test,
     delta_regular_search,
     groebner_module,
-    indices,
     t_homogeneous_component,
 )
 from .jets import JetContext, mi_order
@@ -167,8 +166,8 @@ def cmd_cartan_test(pf: ProblemFile, args, report: Report) -> int:
         return 0
     if priority is None:
         priority = delta_regular_search(comp, n)["priority"]
-    beta = indices(comp, n, priority)
     result = cartan_test(comp, n, priority)
+    beta = result["beta"]
     report.add("cartan.priority", ",".join(pf.base[i] for i in priority))
     for a in sorted(beta, reverse=True):
         report.add(f"cartan.beta[{a}]", beta[a])
@@ -251,6 +250,8 @@ def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
         grids, invariants = side["grids"], side["invariants"]
         if not isinstance(grids, list) or not all(isinstance(g, list) for g in grids):
             raise UsageError(f"--data {path}: {name}.grids is not a list of lists of numbers")
+        if len(grids) != len(params):
+            raise UsageError(f"--data {path}: {name}.grids has {len(grids)} grids for {len(params)} parameters")
         if not isinstance(invariants, list) or not all(isinstance(t, str) for t in invariants):
             raise UsageError(f"--data {path}: {name}.invariants is not a list of strings")
         if not invariants:

@@ -27,6 +27,7 @@ from .exterior import (
     mc_expansion,
     substitute,
 )
+from .involution import TPoly
 from .jets import (
     Coord,
     Counts,
@@ -576,8 +577,6 @@ def isotropy_annihilator(engine: RecurrenceEngine, state: FrameState, n: int):
     multiplication enters separately through prolongation when the Cartan
     test is run.
     """
-    from .involution import TPoly
-
     m = engine.system.m
     out: list[TPoly] = []
     seen: set = set()
@@ -585,7 +584,8 @@ def isotropy_annihilator(engine: RecurrenceEngine, state: FrameState, n: int):
     def emit(poly: TPoly):
         if poly.is_zero() or poly.degree() > n:
             return
-        poly = _sign_normalize_tpoly(poly)
+        if poly.terms[max(poly.terms)] < 0:
+            poly = -poly
         key = frozenset(poly.terms.items())
         if key not in seen:
             seen.add(key)
@@ -605,8 +605,6 @@ def _frame_value_tpoly(engine: RecurrenceEngine, key: JetKey, value: ExteriorFor
     """t^B T^a minus the constant Maurer-Cartan part of the frame value of
     mu^a_B (omega terms dropped); None when the value has a part of higher
     degree or a non-constant Maurer-Cartan coefficient."""
-    from .involution import TPoly
-
     a, B = key
     terms = {(B, a): Q(1)}
     for word, coeff in value.terms.items():
@@ -628,15 +626,6 @@ def determining_annihilator(engine: RecurrenceEngine, n: int):
     coefficient that is not constant on the cross-section gives none."""
     out = [_frame_value_tpoly(engine, key, engine.mu_form(key)) for key in engine.system.solved_jets(n)]
     return [p for p in out if p is not None and not p.is_zero()]
-
-
-def _sign_normalize_tpoly(poly):
-    from .involution import TPoly
-
-    lead = max(poly.terms)
-    if poly.terms[lead] < 0:
-        return TPoly(poly.m, {k: -c for k, c in poly.terms.items()})
-    return poly
 
 
 # -- ODE branch classification -----------------------------------------------------------
@@ -789,7 +778,7 @@ def signature_compare(S: SampledSubmanifold, Sbar: SampledSubmanifold, n: int, t
     cloudA = _signature_cloud(S, s + 1)
     cloudB = _signature_cloud(Sbar, s + 1)
     scale = max(1.0, max(abs(v) for row in cloudA + cloudB for v in row))
-    gap = max(_directed_min_distance(cloudA, cloudB), _directed_min_distance(cloudB, cloudA))
+    gap = _min_distance(cloudA, cloudB)
     overlap_tol = max(tol, 1e-7) * scale
     return SignatureReport(pA["ranks"], s, pA["rank"], bool(gap <= overlap_tol), True)
 
@@ -890,5 +879,6 @@ def _singular_values(rows: list, p: int) -> list:
     return sorted((math.ldexp(math.hypot(*col), shift) for col in cols), reverse=True)
 
 
-def _directed_min_distance(A, B):
+def _min_distance(A, B):
+    """The least distance from a point of A to a point of B (symmetric)."""
     return min((math.dist(a, b) for a in A for b in B), default=math.inf)

@@ -16,64 +16,102 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exact import ExactError, ExactMatrix, Q, _add_term, _forward_eliminate, format_monomial, format_sum, format_term, ordered_row_echelon, rank
-from .jets import Counts, mi_add, mi_all, mi_divides, mi_order, mi_up_to, mi_zero
+from .exact import QZERO, ExactError, ExactMatrix, Q, _add_term, _forward_eliminate, format_monomial, format_sum, format_term, ordered_row_echelon, rank
+from .jets import Counts, mi_add, mi_all, mi_bump, mi_divides, mi_order, mi_up_to, mi_zero
 
 TTerm = tuple[Counts, int]
+STerm = TTerm
 
 
-class TPoly:
-    """Element of the module T: polynomial in t, linear in T."""
+class ModuleElement:
+    """Sparse element of a free module over a polynomial ring: ``terms`` maps
+    (multi-index, target index) to a nonzero Fraction.  A subclass fixes the
+    ranks and may add a constant part ``stilde`` (the s~ part of S): every
+    operation treats it linearly, and a monomial of positive degree
+    annihilates it."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("terms",)
+    stilde: dict = {}  # a T-element has no s~ part
 
-    def __init__(self, m: int, terms: Optional[dict[TTerm, Fraction]] = None):
-        self.m = m
+    def __init__(self, terms: Optional[dict[TTerm, Fraction]] = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
+    def _ranks(self) -> tuple:
+        raise NotImplementedError
+
+    def _like(self, terms, stilde=None):
+        """An element of the same module with the given parts."""
+        raise NotImplementedError
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.terms and not self.stilde
 
     def __eq__(self, other):
-        return isinstance(other, TPoly) and self.m == other.m and self.terms == other.terms
+        return (
+            type(other) is type(self)
+            and self._ranks() == other._ranks()
+            and self.stilde == other.stilde
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
+        return hash((self._ranks(), frozenset(self.stilde.items()), frozenset(self.terms.items())))
 
-    def __add__(self, other: "TPoly") -> "TPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(out, k, c)
-        return TPoly(self.m, out)
+    def __add__(self, other):
+        return self._like(_summed(self.terms, other.terms), _summed(self.stilde, other.stilde))
 
     def __neg__(self):
-        return TPoly(self.m, {k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()}, {i: -c for i, c in self.stilde.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "TPoly":
+    def scale(self, c):
         c = Q(c)
-        if not c:
-            return TPoly(self.m)
-        return TPoly(self.m, {k: v * c for k, v in self.terms.items()})
+        return self._like({k: v * c for k, v in self.terms.items()}, {i: v * c for i, v in self.stilde.items()})
 
-    def mul_monomial(self, B: Counts) -> "TPoly":
-        return TPoly(self.m, {(mi_add(Bk, B), a): c for (Bk, a), c in self.terms.items()})
+    def mul_monomial(self, B: Counts):
+        """Module action of t^B; for a B of positive degree the s~ part goes."""
+        if mi_order(B) == 0:
+            return self
+        return self._like({(mi_add(Bk, B), a): c for (Bk, a), c in self.terms.items()})
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(mi_order(B) for B, _ in self.terms)
+        return max((mi_order(B) for B, _ in self.terms), default=0)
 
-    def highest_term(self) -> "TPoly":
-        if not self.terms:
-            return self
-        top = self.degree()
-        return TPoly(self.m, {(B, a): c for (B, a), c in self.terms.items() if mi_order(B) == top})
+    def degree_part(self, n: int):
+        """The terms of degree n; the s~ part lies in no degree."""
+        return self._like({(B, a): c for (B, a), c in self.terms.items() if mi_order(B) == n})
 
-    def degree_part(self, n: int) -> "TPoly":
-        return TPoly(self.m, {(B, a): c for (B, a), c in self.terms.items() if mi_order(B) == n})
+    def highest_term(self):
+        return self.degree_part(self.degree())
+
+    def row(self, columns: Iterable[TTerm]) -> list[Fraction]:
+        """The dense coefficients over the given (multi-index, target) columns."""
+        return [self.terms.get(col, QZERO) for col in columns]
+
+
+def _summed(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        _add_term(out, k, c)
+    return out
+
+
+class TPoly(ModuleElement):
+    """Element of the module T: polynomial in t, linear in T."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int, terms: Optional[dict[TTerm, Fraction]] = None):
+        self.m = m
+        super().__init__(terms)
+
+    def _ranks(self):
+        return (self.m,)
+
+    def _like(self, terms, stilde=None):
+        return TPoly(self.m, terms)
 
     def pretty(self, names: Sequence[str]) -> str:
         return format_sum([format_module_term("t", names, names, B, a, c) for (B, a), c in sorted(self.terms.items())])
@@ -82,71 +120,26 @@ class TPoly:
         return f"TPoly({self.terms})"
 
 
-STerm = tuple[Counts, int]
-
-
-class SPoly:
+class SPoly(ModuleElement):
     """Element of the submanifold jet module S = R^p + R[s] \\otimes R^q."""
 
-    __slots__ = ("p", "q", "stilde", "terms")
+    __slots__ = ("p", "q", "stilde")
 
     def __init__(self, p: int, q: int, stilde=None, terms=None):
         self.p = p
         self.q = q
         self.stilde = {i: Q(c) for i, c in (stilde or {}).items() if c}
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        super().__init__(terms)
 
-    def is_zero(self) -> bool:
-        return not self.stilde and not self.terms
+    def _ranks(self):
+        return (self.p, self.q)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SPoly)
-            and (self.p, self.q) == (other.p, other.q)
-            and self.stilde == other.stilde
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.q, frozenset(self.stilde.items()), frozenset(self.terms.items())))
-
-    def __add__(self, other: "SPoly") -> "SPoly":
-        st = dict(self.stilde)
-        for i, c in other.stilde.items():
-            _add_term(st, i, c)
-        tm = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(tm, k, c)
-        return SPoly(self.p, self.q, st, tm)
-
-    def __neg__(self):
-        return SPoly(self.p, self.q, {i: -c for i, c in self.stilde.items()}, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "SPoly":
-        c = Q(c)
-        if not c:
-            return SPoly(self.p, self.q)
-        return SPoly(self.p, self.q, {i: v * c for i, v in self.stilde.items()}, {k: v * c for k, v in self.terms.items()})
-
-    def mul_monomial(self, J: Counts) -> "SPoly":
-        """Module action: positive-degree monomials annihilate the s~ part."""
-        if mi_order(J) == 0:
-            return self
-        return SPoly(self.p, self.q, {}, {(mi_add(Jk, J), al): c for (Jk, al), c in self.terms.items()})
+    def _like(self, terms, stilde=None):
+        return SPoly(self.p, self.q, stilde, terms)
 
     def degree(self) -> int:
-        if self.terms:
-            return max(mi_order(J) for J, _ in self.terms)
-        return -1 if self.stilde else 0
-
-    def highest_term(self) -> "SPoly":
-        if not self.terms:
-            return SPoly(self.p, self.q)
-        top = max(mi_order(J) for J, _ in self.terms)
-        return SPoly(self.p, self.q, {}, {(J, al): c for (J, al), c in self.terms.items() if mi_order(J) == top})
+        """-1 for an element that is only an s~ part."""
+        return -1 if self.stilde and not self.terms else super().degree()
 
     def pretty(self, xnames: Sequence[str], unames: Sequence[str]) -> str:
         parts = [format_term(str(c), f"s~_{xnames[i]}") for i, c in sorted(self.stilde.items())]
@@ -167,16 +160,8 @@ def format_module_term(letter: str, names: Sequence[str], targets: Sequence[str]
 def t_span_matrix(gens: Iterable[TPoly], m: int, columns: Optional[list[TTerm]] = None) -> ExactMatrix:
     gens = list(gens)
     if columns is None:
-        seen = []
-        have = set()
-        for g in gens:
-            for key in g.terms:
-                if key not in have:
-                    have.add(key)
-                    seen.append(key)
-        columns = sorted(seen)
-    rows = [[g.terms.get(c, Q(0)) for c in columns] for g in gens]
-    return ExactMatrix(rows, columns)
+        columns = sorted({key for g in gens for key in g.terms})
+    return ExactMatrix([g.row(columns) for g in gens], columns)
 
 
 def t_span_dim(gens: Iterable[TPoly], m: int) -> int:
@@ -219,11 +204,6 @@ def symbol_matrix(gens: Sequence[TPoly], n: int, priority: Sequence[int]) -> Exa
         for B, a in g.terms:
             if mi_order(B) != n:
                 raise ExactError("symbol matrix rows must be degree-homogeneous")
-    columns = []
-    for B in mi_all(m, n):
-        for a in range(m):
-            columns.append((B, a))
-    rank_of = {var: r for r, var in enumerate(priority)}
 
     def colkey(col):
         B, a = col
@@ -231,9 +211,8 @@ def symbol_matrix(gens: Sequence[TPoly], n: int, priority: Sequence[int]) -> Exa
         perm = tuple(B[priority[r]] for r in range(len(priority)))
         return (-cls, perm, a)
 
-    columns.sort(key=colkey)
-    rows = [[g.terms.get(col, Q(0)) for col in columns] for g in gens]
-    return ExactMatrix(rows, columns)
+    columns = sorted(((B, a) for B in mi_all(m, n) for a in range(m)), key=colkey)
+    return ExactMatrix([g.row(columns) for g in gens], columns)
 
 
 def indices(gens: Sequence[TPoly], n: int, priority: Sequence[int]) -> dict[int, int]:
@@ -382,19 +361,19 @@ class BetaMap:
         if len(self.u1) != q or any(len(r) != p for r in self.u1):
             raise ExactError("first-order jet table must be q x p")
 
-    def beta_monomial(self, J: Counts) -> TPoly:
-        """Image of s^J as a t-polynomial (in the T-free sense: returns the
-        polynomial with a placeholder target; used internally)."""
+    def beta_monomial(self, J: Counts) -> dict[Counts, Fraction]:
+        """Image of s^J as a polynomial in t, without a target: the map from
+        multi-index to coefficient."""
         out = {mi_zero(self.m): Q(1)}
         for i, e in enumerate(J):
             for _ in range(e):
                 nxt: dict[Counts, Fraction] = {}
                 for B, c in out.items():
-                    key = tuple(b + (1 if k == i else 0) for k, b in enumerate(B))
+                    key = mi_bump(B, i)
                     nxt[key] = nxt.get(key, Q(0)) + c
                     for alpha in range(self.q):
                         if self.u1[alpha][i]:
-                            key2 = tuple(b + (1 if k == self.p + alpha else 0) for k, b in enumerate(B))
+                            key2 = mi_bump(B, self.p + alpha)
                             nxt[key2] = nxt.get(key2, Q(0)) + c * self.u1[alpha][i]
                 out = {k: v for k, v in nxt.items() if v}
         return out
@@ -403,20 +382,16 @@ class BetaMap:
         """beta^*(e) for e without an s~ part."""
         if e.stilde:
             raise ExactError("beta pullback is defined on the hatted module only")
-        out = TPoly(self.m)
+        terms: dict[TTerm, Fraction] = {}
         for (J, alpha), c in e.terms.items():
-            mono = self.beta_monomial(J)
             # B^alpha(T) = T^{p+alpha} - sum_i u^alpha_i T^i
             targets = [(self.p + alpha, Q(1))] + [
                 (i, -self.u1[alpha][i]) for i in range(self.p) if self.u1[alpha][i]
             ]
-            terms = {}
-            for B, cb in mono.items():
+            for B, cb in self.beta_monomial(J).items():
                 for a, ct in targets:
-                    key = (B, a)
-                    terms[key] = terms.get(key, Q(0)) + cb * ct * c
-            out = out + TPoly(self.m, terms)
-        return out
+                    _add_term(terms, (B, a), cb * ct * c)
+        return TPoly(self.m, terms)
 
 
 def prolonged_symbol_preimage(
@@ -431,22 +406,13 @@ def prolonged_symbol_preimage(
     for k in range(degree + 1):
         ik = _module_component(i_generators, m, k)
         t_cols = [(B, a) for B in mi_all(m, k) for a in range(m)]
-        i_rows = [[g.terms.get(c, Q(0)) for c in t_cols] for g in ik]
+        i_rows = [g.row(t_cols) for g in ik]
         s_basis = [(J, alpha) for J in mi_all(p, k) for alpha in range(q)]
-        img_rows = []
-        for J, alpha in s_basis:
-            e = SPoly(p, q, {}, {(J, alpha): Q(1)})
-            t = bm.pullback(e)
-            img_rows.append([t.terms.get(c, Q(0)) for c in t_cols])
+        img_rows = [bm.pullback(SPoly(p, q, {}, {key: Q(1)})).row(t_cols) for key in s_basis]
         # sigma in preimage iff image lies in span(i_rows): solve with stacked matrix
-        basis = []
-        for coeffs in _in_span_solutions(img_rows, i_rows):
-            poly = SPoly(p, q)
-            for idx, c in enumerate(coeffs):
-                if c:
-                    poly = poly + SPoly(p, q, {}, {s_basis[idx]: c})
-            basis.append(poly)
-        out[k] = basis
+        out[k] = [
+            SPoly(p, q, {}, dict(zip(s_basis, coeffs))) for coeffs in _in_span_solutions(img_rows, i_rows)
+        ]
     return out
 
 
@@ -503,8 +469,7 @@ def linear_basis(V: Sequence[SPoly], module_gens: Sequence[tuple[int, Counts]], 
         for alpha in range(q):
             ((comp_cols if (J, alpha) in comp else module_cols)).append((J, alpha))
     columns = module_cols + comp_cols
-    rows = [[v.terms.get(c, Q(0)) for c in columns] for v in V]
-    matrix = ExactMatrix(rows, columns)
+    matrix = ExactMatrix([v.row(columns) for v in V], columns)
     ech, pivots = ordered_row_echelon(matrix)
     out = []
     for r in range(len(pivots)):
@@ -615,10 +580,9 @@ def membership_by_linear_algebra(e: SPoly, gens: Sequence[SPoly], degree: int) -
         for J in mi_up_to(p, max(degree - gd, 0)):
             multiples.append(g.mul_monomial(J))
     columns = sorted({k for h in multiples for k in h.terms} | set(e.terms))
-    rows = [[h.terms.get(c, Q(0)) for c in columns] for h in multiples]
-    target = [e.terms.get(c, Q(0)) for c in columns]
+    rows = [h.row(columns) for h in multiples]
     base_rank = rank(ExactMatrix(rows, columns)) if rows else 0
-    aug_rank = rank(ExactMatrix(rows + [target], columns))
+    aug_rank = rank(ExactMatrix(rows + [e.row(columns)], columns))
     return base_rank == aug_rank
 
 

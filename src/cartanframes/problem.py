@@ -82,10 +82,10 @@ class ProblemFile:
             decls, element = self.spoly, lambda terms: SPoly(len(self.independent), len(self.dependent), {}, terms)
         out = []
         for decl in decls:
-            poly = element({})
+            terms: dict = {}
             for counts, target, coeff in decl.terms:
-                poly = poly + element({(counts, target): coeff})
-            out.append(poly)
+                _add_term(terms, (counts, target), coeff)
+            out.append(element(terms))
         return out
 
     @property

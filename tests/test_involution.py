@@ -3,13 +3,18 @@ arbitrary-function counts, beta maps, monomial complements and Groebner
 bases."""
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cartanframes
 from cartanframes.exact import ExactError
 from cartanframes.involution import (
     BetaMap,
@@ -76,6 +81,91 @@ def test_highest_term():
 def test_highest_term_spoly_drops_constant_part():
     e = SPoly(1, 1, {0: Q(3)}, {((0,), 0): Q(1)})
     assert e.highest_term() == SPoly(1, 1, {}, {((0,), 0): Q(1)})
+
+
+# -- the element algebra against a plain-dict oracle ----------------------------------
+
+
+@st.composite
+def module_pairs(draw):
+    """Two elements of one module as (s~ part, terms) dicts: T of rank m, or
+    S of ranks p, q whose first element has a nonzero s~ part."""
+    kind = draw(st.sampled_from("TS"))
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    ntargets = nvars if kind == "T" else draw(st.integers(min_value=1, max_value=2))
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool).map(Q)
+    counts = st.tuples(*[st.integers(min_value=0, max_value=2)] * nvars)
+    key = st.tuples(counts, st.integers(min_value=0, max_value=ntargets - 1))
+
+    def parts(min_stilde):
+        stilde = {}
+        if kind == "S":
+            stilde = draw(st.dictionaries(st.integers(min_value=0, max_value=nvars - 1), coeff, min_size=min_stilde))
+        return stilde, draw(st.dictionaries(key, coeff, max_size=5))
+
+    if kind == "T":
+        make = lambda stilde, terms: TPoly(nvars, terms)
+    else:
+        make = lambda stilde, terms: SPoly(nvars, ntargets, stilde, terms)
+    return make, nvars, parts(1), parts(0)
+
+
+def _dict_sum(x, y):
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _dict_scale(x, c):
+    return {k: v * c for k, v in x.items() if v * c}
+
+
+@given(module_pairs(), st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3), st.integers(min_value=-2, max_value=2))
+@settings(max_examples=100, deadline=None)
+def test_module_element_algebra_matches_a_dict_oracle(pair, monomial, c):
+    make, nvars, (sa, ta), (sb, tb) = pair
+    a, b = make(sa, ta), make(sb, tb)
+
+    def check(elem, stilde, terms):
+        expect = make(stilde, terms)
+        assert type(elem) is type(a) and elem.stilde == stilde and elem.terms == terms
+        assert elem == expect and hash(elem) == hash(expect)
+
+    check(a, sa, ta)
+    check(a + b, _dict_sum(sa, sb), _dict_sum(ta, tb))
+    check(a - b, _dict_sum(sa, _dict_scale(sb, -1)), _dict_sum(ta, _dict_scale(tb, -1)))
+    check(-a, _dict_scale(sa, -1), _dict_scale(ta, -1))
+    check(a.scale(c), _dict_scale(sa, c), _dict_scale(ta, c))
+    M = tuple(monomial[:nvars])
+    shifted = {(tuple(x + y for x, y in zip(B, M)), t): v for (B, t), v in ta.items()}
+    # a monomial of positive degree annihilates the s~ part
+    check(a.mul_monomial(M), sa if not any(M) else {}, shifted)
+    degree = max((sum(B) for B, _ in ta), default=-1 if sa else 0)
+    assert a.degree() == degree
+    for n in range(-1, 7):
+        check(a.degree_part(n), {}, {k: v for k, v in ta.items() if sum(k[0]) == n})
+    check(a.highest_term(), {}, {k: v for k, v in ta.items() if sum(k[0]) == degree})
+    columns = sorted(set(ta) | set(tb) | {((0,) * nvars, 0)})
+    assert a.row(columns) == [ta.get(col, 0) for col in columns]
+    assert (a == b) == (sa == sb and ta == tb)
+    assert a != (SPoly(nvars, nvars, {}, ta) if isinstance(a, TPoly) else TPoly(nvars, ta))
+    assert a.is_zero() == (not sa and not ta)
+
+
+@pytest.mark.parametrize("module", ["cartanframes.frames", "cartanframes.involution"])
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    """frames imports TPoly from involution at module level; either module
+    must import on its own, with nothing of the package loaded before it."""
+    src = str(pathlib.Path(cartanframes.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_class_definition():

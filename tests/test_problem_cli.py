@@ -377,6 +377,14 @@ def test_cli_priority_permutation_accepted():
         ('{"S": {}, "Sbar": {}}', "missing key 'parameters'"),
         ('{"parameters": ["s"], "S": {"grids": [], "invariants": []}, "Sbar": {"grids": []}}', "missing key 'Sbar.invariants'"),
         ("[1, 2]", "missing key 'parameters'"),
+        (
+            '{"parameters": ["s"], "S": {"grids": [[0, 0.5, 1], [0, 0.5, 1]], "invariants": ["s"]}, "Sbar": {"grids": [[0, 0.5, 1]], "invariants": ["s"]}}',
+            "S.grids has 2 grids for 1 parameters",
+        ),
+        (
+            '{"parameters": ["s", "r"], "S": {"grids": [[0, 0.5, 1]], "invariants": ["s"]}, "Sbar": {"grids": [[0, 0.5, 1]], "invariants": ["s"]}}',
+            "S.grids has 1 grids for 2 parameters",
+        ),
     ],
 )
 def test_cli_signature_data_diagnostics(tmp_path, capsys, content, message):
