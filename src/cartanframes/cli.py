@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from fractions import Fraction
 
@@ -242,7 +243,11 @@ def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
     data = _load_signature_data(path)
     params = data["parameters"]
     n = _data_number(path, "order", data.get("order", 1), int)
-    tol = args.tol if args.tol is not None else _data_number(path, "tol", data.get("tol", 1e-9), float)
+    tol = args.tol
+    if tol is None:
+        tol = _data_number(path, "tol", data.get("tol", 1e-9), float)
+        if tol < 0:
+            raise UsageError(f"--data {path}: tol must be at least 0, got {tol}")
 
     def build(name):
         side = data[name]
@@ -295,13 +300,16 @@ def _load_signature_data(path: str) -> dict:
 
 
 def _data_number(path: str, key: str, value, convert):
-    """``convert(value)`` for a number read from the ``--data`` file."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        import json
+    """``convert(value)`` for a finite number read from the ``--data`` file."""
+    import json
 
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int() of an infinity
         raise UsageError(f"--data {path}: {key} is not a number: {json.dumps(value)}") from None
+    if not -math.inf < number < math.inf:
+        raise UsageError(f"--data {path}: {key} is not a finite number: {json.dumps(value)}")
+    return number
 
 
 def _to_callable(jc: JetContext, params, expr: RatFn):
@@ -326,10 +334,13 @@ def _partial_operator(jc: JetContext, params, i: int):
 
 
 def _check_ranges(args) -> None:
-    """A negative ``--order``/``--mc-order`` or an ``--m`` below 1 is a usage error."""
+    """A negative ``--order``/``--mc-order``, an ``--m`` below 1, or a
+    ``--tol`` that is negative or not finite is a usage error."""
     for option, value, least in (("--order", args.order, 0), ("--mc-order", args.mc_order, 0), ("--m", args.m, 1)):
         if value is not None and value < least:
             raise UsageError(f"{option} must be at least {least}, got {value}")
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise UsageError(f"--tol must be a finite number at least 0, got {args.tol}")
 
 
 COMMANDS = {

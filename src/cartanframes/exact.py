@@ -734,26 +734,6 @@ def format_ratfn(f: RatFn) -> str:
 # -- deterministic linear algebra ----------------------------------------------
 
 
-class ExactMatrix:
-    """Dense matrix over Fraction or RatFn entries with an explicit column
-    label record; the caller fixes the column order, and all row reduction is
-    done without column permutations."""
-
-    def __init__(self, rows: Sequence[Sequence], column_labels: Optional[Sequence] = None):
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ExactError("ragged matrix")
-        self.column_labels = list(column_labels) if column_labels is not None else list(range(self.ncols))
-        if len(self.column_labels) != self.ncols:
-            raise ExactError("column label count mismatch")
-
-    def __repr__(self):
-        return f"ExactMatrix({self.nrows}x{self.ncols})"
-
-
 def _forward_eliminate(rows: list[list], accept: Optional[Callable] = None, rhs=None, scale=None):
     """Forward elimination in place, column by column, without row swaps.
 
@@ -800,25 +780,25 @@ def _forward_eliminate(rows: list[list], accept: Optional[Callable] = None, rhs=
     return pivots, blocked
 
 
-def ordered_row_echelon(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """Row echelon form using row operations only: the pivot rows on top, in
-    column order, then the zero rows.
+def ordered_row_echelon(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """Row echelon form of the rows, over Fraction or RatFn entries, using row
+    operations only: the pivot rows on top, in column order, then the zero rows.
 
     Columns are scanned left to right in the caller's order and each pivot is
     the first remaining row, in original order, with a nonzero entry; rows are
     never swapped.  The pivot columns (the rank profile) and the row span are
-    therefore fixed by the matrix, and they are all a caller may rely on: the
+    therefore fixed by the rows, and they are all a caller may rely on: the
     contents of the individual echelon rows depend on which row pivoted.
     """
-    rows = [list(r) for r in m.rows]
+    rows = [list(r) for r in rows]
     pivots, _ = _forward_eliminate(rows)
     used = {i for _, i in pivots}
     ordered = [rows[i] for _, i in pivots] + [r for i, r in enumerate(rows) if i not in used]
-    return ExactMatrix(ordered, m.column_labels), [c for c, _ in pivots]
+    return ordered, [c for c, _ in pivots]
 
 
-def rank(m: ExactMatrix) -> int:
-    return len(_forward_eliminate([list(r) for r in m.rows])[0])
+def rank(rows: Sequence[Sequence]) -> int:
+    return len(_forward_eliminate([list(r) for r in rows])[0])
 
 
 class LinearSolveResult:
@@ -838,13 +818,14 @@ class LinearSolveResult:
 
 
 def solve_linear(
-    system: ExactMatrix,
+    rows: Sequence[Sequence],
+    labels: Sequence,
     rhs: Sequence,
     invertible: Callable = None,
     scale=lambda c, v: c * v,
 ):
-    """Solve ``system . x = rhs`` for as many unknowns as declared-invertible
-    pivots allow.
+    """Solve ``rows . x = rhs`` for as many unknowns as declared-invertible
+    pivots allow; ``labels`` names the unknowns, one per column.
 
     ``rhs`` entries may live in any abelian group with ``+``; ``scale``
     multiplies one by a scalar (a matrix entry).  Solved unknowns are
@@ -856,9 +837,8 @@ def solve_linear(
     as 0 = nonzero, is returned in ``residual`` with an empty coefficient map;
     the caller decides what it means.
     """
-    work = [list(r) for r in system.rows]
+    work = [list(r) for r in rows]
     vec = list(rhs)
-    labels = system.column_labels
     pivots, blocked = _forward_eliminate(work, invertible or _default_invertible, vec, scale)
     # Back substitution: clear each pivot column from the earlier pivot rows.
     for k, (c, i) in enumerate(pivots):

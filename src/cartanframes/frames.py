@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .exact import QONE, QZERO, ExactError, ExactMatrix, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
+from .exact import QONE, QZERO, ExactError, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
 from .exterior import (
     EquationSet,
     ExteriorForm,
@@ -435,8 +435,7 @@ class RecurrenceEngine:
                     omega_part = omega_part + ExteriorForm(fc, {word: c})
             rows.append(row)
             rhs.append(-omega_part)
-        matrix = ExactMatrix(rows, unknown_keys)
-        result = solve_linear(matrix, rhs, invertible=invertible, scale=lambda c, v: v.scale(c))
+        result = solve_linear(rows, unknown_keys, rhs, invertible=invertible, scale=lambda c, v: v.scale(c))
         for key, (omega_value, coeffs) in result.solved.items():
             value = omega_value
             for other, coeff in coeffs.items():

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exact import QZERO, ExactError, ExactMatrix, Q, _add_term, _forward_eliminate, format_monomial, format_sum, format_term, ordered_row_echelon, rank
+from .exact import QZERO, ExactError, Q, _add_term, _forward_eliminate, format_monomial, format_sum, format_term, ordered_row_echelon, rank
 from .jets import Counts, mi_add, mi_all, mi_bump, mi_divides, mi_order, mi_up_to, mi_zero
 
 TTerm = tuple[Counts, int]
@@ -157,24 +157,14 @@ def format_module_term(letter: str, names: Sequence[str], targets: Sequence[str]
 # -- spans over enumerated monomials ---------------------------------------------
 
 
-def t_span_matrix(gens: Iterable[TPoly], m: int, columns: Optional[list[TTerm]] = None) -> ExactMatrix:
+def t_span_dim(gens: Iterable[TPoly]) -> int:
     gens = list(gens)
-    if columns is None:
-        columns = sorted({key for g in gens for key in g.terms})
-    return ExactMatrix([g.row(columns) for g in gens], columns)
+    columns = sorted({key for g in gens for key in g.terms})
+    return rank([g.row(columns) for g in gens])
 
 
-def t_span_dim(gens: Iterable[TPoly], m: int) -> int:
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return 0
-    return rank(t_span_matrix(gens, m))
-
-
-def t_span_equal(a: Iterable[TPoly], b: Iterable[TPoly], m: int) -> bool:
-    a, b = [g for g in a if not g.is_zero()], [g for g in b if not g.is_zero()]
-    da, db = t_span_dim(a, m), t_span_dim(b, m)
-    return da == db == t_span_dim(a + b, m)
+def t_span_equal(a: Sequence[TPoly], b: Sequence[TPoly]) -> bool:
+    return t_span_dim(a) == t_span_dim(b) == t_span_dim([*a, *b])
 
 
 def t_homogeneous_component(gens: Iterable[TPoly], m: int, n: int) -> list[TPoly]:
@@ -195,10 +185,10 @@ def class_of(B: Counts, priority: Sequence[int]) -> int:
     return min(ranks[i] for i, c in enumerate(B) if c)
 
 
-def symbol_matrix(gens: Sequence[TPoly], n: int, priority: Sequence[int]) -> ExactMatrix:
-    """Rows are the generators' degree-n coefficients; columns are ordered by
-    descending class, ties broken by graded-lex on the exponents then by the
-    target index."""
+def symbol_matrix(gens: Sequence[TPoly], n: int, priority: Sequence[int]) -> tuple[list[list[Fraction]], list[TTerm]]:
+    """``(rows, columns)``: the rows are the generators' degree-n coefficients;
+    the columns are ordered by descending class, ties broken by graded-lex on
+    the exponents then by the target index."""
     m = gens[0].m if gens else len(priority)
     for g in gens:
         for B, a in g.terms:
@@ -212,17 +202,17 @@ def symbol_matrix(gens: Sequence[TPoly], n: int, priority: Sequence[int]) -> Exa
         return (-cls, perm, a)
 
     columns = sorted(((B, a) for B in mi_all(m, n) for a in range(m)), key=colkey)
-    return ExactMatrix([g.row(columns) for g in gens], columns)
+    return [g.row(columns) for g in gens], columns
 
 
 def indices(gens: Sequence[TPoly], n: int, priority: Sequence[int]) -> dict[int, int]:
     """Pivot count per class of the echelon symbol matrix: beta^(a)_n."""
-    matrix = symbol_matrix(gens, n, priority)
-    _, pivots = ordered_row_echelon(matrix)
+    rows, columns = symbol_matrix(gens, n, priority)
+    _, pivots = ordered_row_echelon(rows)
     m = len(priority)
     beta = {a: 0 for a in range(1, m + 1)}
     for c in pivots:
-        B, _ = matrix.column_labels[c]
+        B, _ = columns[c]
         beta[class_of(B, priority)] += 1
     return beta
 
@@ -238,11 +228,9 @@ def prolong_generators(gens: Sequence[TPoly], m: int) -> list[TPoly]:
 def cartan_test(gens_n: Sequence[TPoly], n: int, priority: Sequence[int]):
     """Cartan's involutivity test: rank T^{n+1} == sum_a a*beta^(a)_n, with
     T^{n+1} spanned by the prolongation t_a . gens_n.  Returns a dict report."""
-    m = gens_n[0].m
     beta = indices(gens_n, n, priority)
     weighted = sum(a * b for a, b in beta.items())
-    nxt = [g for g in prolong_generators(gens_n, m) if not g.is_zero()]
-    rk = rank(symbol_matrix(nxt, n + 1, priority)) if nxt else 0
+    rk = rank(symbol_matrix(prolong_generators(gens_n, gens_n[0].m), n + 1, priority)[0])
     return {
         "beta": beta,
         "rank_next": rk,
@@ -469,11 +457,10 @@ def linear_basis(V: Sequence[SPoly], module_gens: Sequence[tuple[int, Counts]], 
         for alpha in range(q):
             ((comp_cols if (J, alpha) in comp else module_cols)).append((J, alpha))
     columns = module_cols + comp_cols
-    matrix = ExactMatrix([v.row(columns) for v in V], columns)
-    ech, pivots = ordered_row_echelon(matrix)
+    ech, pivots = ordered_row_echelon([v.row(columns) for v in V])
     out = []
     for r in range(len(pivots)):
-        row = ech.rows[r]
+        row = ech[r]
         pv = row[pivots[r]]
         poly = SPoly(p, q, {}, {columns[c]: row[c] / pv for c in range(len(columns)) if row[c]})
         out.append(poly)
@@ -581,9 +568,7 @@ def membership_by_linear_algebra(e: SPoly, gens: Sequence[SPoly], degree: int) -
             multiples.append(g.mul_monomial(J))
     columns = sorted({k for h in multiples for k in h.terms} | set(e.terms))
     rows = [h.row(columns) for h in multiples]
-    base_rank = rank(ExactMatrix(rows, columns)) if rows else 0
-    aug_rank = rank(ExactMatrix(rows + [e.row(columns)], columns))
-    return base_rank == aug_rank
+    return rank(rows) == rank(rows + [e.row(columns)])
 
 
 # -- dimension checks (sum identity and U = J) ----------------------------------------------
@@ -598,10 +583,9 @@ def t_degree_filter(gens: Sequence[TPoly], m: int, n: int) -> list[TPoly]:
     for g in gens:
         columns.update(g.terms)
     columns = sorted(columns, key=lambda key: (-mi_order(key[0]), key))
-    matrix = t_span_matrix(gens, m, columns)
-    ech, pivots = ordered_row_echelon(matrix)
+    ech, _ = ordered_row_echelon([g.row(columns) for g in gens])
     out = []
-    for row in ech.rows:
+    for row in ech:
         poly = TPoly(m, {columns[c]: row[c] for c in range(len(columns)) if row[c]})
         if not poly.is_zero() and poly.degree() <= n:
             out.append(poly)
@@ -621,10 +605,9 @@ def annihilator_dimension_check(
     to polynomials of degree <= n."""
     left = t_degree_filter(list(pstar_basis) + list(l_basis), m, n)
     right = t_degree_filter(list(t_basis), m, n)
-    ok = t_span_equal(left, right, m)
     return {
         "n": n,
-        "lhs_dim": t_span_dim(left, m),
-        "rhs_dim": t_span_dim(right, m),
-        "pass": ok,
+        "lhs_dim": t_span_dim(left),
+        "rhs_dim": t_span_dim(right),
+        "pass": t_span_equal(left, right),
     }

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Context, ExactError, ExactMatrix, ExpKey, Poly, RatFn, Variable, _add_term, _merge_exp, solve_linear, subscript
+from .exact import Context, ExactError, ExpKey, Poly, RatFn, Variable, _add_term, _merge_exp, solve_linear, subscript
 
 Counts = tuple[int, ...]
 
@@ -306,8 +306,8 @@ def invert_ratfn_matrix(jc: JetContext, m: list[list[RatFn]]) -> list[list[RatFn
     pivoting on any nonzero entry.  A pivot in the -I block means M is singular."""
     n = len(m)
     zero = jc.ratfn(0)
-    system = ExactMatrix([list(row) + [jc.ratfn(-1 if j == i else 0) for j in range(n)] for i, row in enumerate(m)])
-    result = solve_linear(system, [zero] * n, invertible=lambda e: True)
+    rows = [list(row) + [jc.ratfn(-1 if j == i else 0) for j in range(n)] for i, row in enumerate(m)]
+    result = solve_linear(rows, range(2 * n), [zero] * n, invertible=lambda e: True)
     if any(label >= n for label in result.solved):
         raise ExactError("degenerate map: singular total Jacobian")
     return [[result.solved[i][1].get(n + j, zero) for j in range(n)] for i in range(n)]

@@ -336,12 +336,10 @@ class _ExprParser:
             raise ParseError(f"unexpected token {val!r}", line, col)
         if self.toks.at("^"):
             _, _, line, col = self.toks.next()
-            kind2, val2, l2, c2 = self.toks.next()
-            if kind2 != "num":
-                raise ParseError("expected integer exponent", l2, c2)
+            exp = _parse_exponent(self.toks)
             if base.linear:
                 raise ParseError(f"cannot exponentiate a field-jet expression in {self.subject}", line, col)
-            base = base.pow(int(val2))
+            base = base.pow(exp)
         return base
 
 
@@ -530,17 +528,28 @@ def _parse_rational(toks) -> Fraction:
     kind, val, line, col = toks.next()
     if kind != "num":
         raise ParseError("expected a rational constant", line, col)
-    num = int(val)
-    den = 1
-    if toks.at("/"):
-        toks.next()
-        kind2, val2, l2, c2 = toks.next()
-        if kind2 != "num":
-            raise ParseError("expected denominator", l2, c2)
-        den = int(val2)
-        if not den:
-            raise ParseError("zero denominator", l2, c2)
-    return Fraction(sign * num, den)
+    return Fraction(sign * int(val), _parse_denominator(toks))
+
+
+def _parse_denominator(toks) -> int:
+    """The ``/den`` after a numerator, 1 when there is none."""
+    if not toks.at("/"):
+        return 1
+    toks.next()
+    kind, val, line, col = toks.next()
+    if kind != "num":
+        raise ParseError("expected denominator", line, col)
+    if not int(val):
+        raise ParseError("zero denominator", line, col)
+    return int(val)
+
+
+def _parse_exponent(toks) -> int:
+    """The integer exponent after a ``^``."""
+    kind, val, line, col = toks.next()
+    if kind != "num":
+        raise ParseError("expected integer exponent", line, col)
+    return int(val)
 
 
 def _module_blocks(pf: ProblemFile):
@@ -559,25 +568,27 @@ def _build_module_statement(stmt: list, letter: str, varnames: list[str], target
     toks = _Tokens(tokens=stmt)
     terms = []
     sign = 1
-    coeff = Fraction(1)
-    pending: list = []
+    pending: list = []  # the factors of the current term
 
     def flush(line, col):
-        nonlocal sign, coeff, pending
+        nonlocal sign, pending
         if pending:
             counts = [0] * len(varnames)
+            coeff = Fraction(sign)
             target = None
             for kind, what in pending:
                 if kind == letter:
                     counts[what[0]] += what[1]
+                elif kind == "num":
+                    coeff *= what
                 else:
                     if target is not None:
                         raise ParseError(f"term must be linear in {upper}", line, col)
                     target = what
             if target is None:
                 raise ParseError(f"term lacks {'an' if upper == 'S' else 'a'} {upper} factor", line, col)
-            terms.append((tuple(counts), target, Fraction(sign) * coeff))
-        sign, coeff, pending = 1, Fraction(1), []
+            terms.append((tuple(counts), target, coeff))
+            sign, pending = 1, []
 
     while toks.peek()[1] != ";":
         kind, val, line, col = toks.next()
@@ -585,14 +596,11 @@ def _build_module_statement(stmt: list, letter: str, varnames: list[str], target
             flush(line, col)
         elif val == "-":
             flush(line, col)
-            sign = -1
+            sign = -sign
         elif val == "*":
             continue
         elif kind == "num":
-            coeff *= int(val)
-            if toks.at("/"):
-                toks.next()
-                coeff /= int(toks.next()[1])
+            pending.append(("num", Fraction(int(val), _parse_denominator(toks))))
         elif val == letter:
             toks.expect("_")
             kind2, val2, l2, c2 = toks.next()
@@ -600,7 +608,7 @@ def _build_module_statement(stmt: list, letter: str, varnames: list[str], target
             exp = 1
             if toks.at("^"):
                 toks.next()
-                exp = int(toks.next()[1])
+                exp = _parse_exponent(toks)
             for slot, c in enumerate(name_counts):
                 if c:
                     pending.append((letter, (slot, c * exp)))
@@ -612,7 +620,7 @@ def _build_module_statement(stmt: list, letter: str, varnames: list[str], target
             pending.append((upper, targets.index(val2)))
         else:
             raise ParseError(f"unexpected token {val!r} in {letter}poly", line, col)
-    flush(-1, -1)
+    flush(*toks.peek()[2:])  # errors of the last term point at the closing ";"
     return TPolyDecl(terms)
 
 

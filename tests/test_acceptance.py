@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from cartanframes.exact import ExactMatrix, rank
 from cartanframes.frames import classify_ode, determining_annihilator, isotropy_annihilator, oracle_classify_ode
 from cartanframes.involution import (
     SPoly,
@@ -23,7 +22,6 @@ from cartanframes.involution import (
     indices,
     membership_by_linear_algebra,
     t_homogeneous_component,
-    t_span_equal,
 )
 from cartanframes.jets import JetContext
 from conftest import diffeo_system, session

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cartanframes.exact import (
     Context,
     ExactError,
-    ExactMatrix,
     Poly,
     RatFn,
     format_poly,
@@ -21,6 +20,7 @@ from cartanframes.exact import (
     rank,
     solve_linear,
 )
+from cartanframes.involution import t_span_dim
 from cartanframes.jets import JetContext
 
 
@@ -76,44 +76,42 @@ def test_multivariate_gcd(ctx):
 
 
 def test_echelon_identity():
-    m = ExactMatrix([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     ech, piv = ordered_row_echelon(m)
     assert piv == [0, 1]
-    assert ech.rows == m.rows
+    assert ech == m
 
 
 def test_echelon_dependent_rows():
-    m = ExactMatrix([[Fraction(1), Fraction(1)], [Fraction(-1), Fraction(-1)]])
+    m = [[Fraction(1), Fraction(1)], [Fraction(-1), Fraction(-1)]]
     ech, piv = ordered_row_echelon(m)
     assert piv == [0]
-    assert ech.rows[1] == [0, 0]
+    assert ech[1] == [0, 0]
 
 
 def test_echelon_idempotent_and_rank_preserving():
-    m = ExactMatrix(
-        [
-            [Fraction(2), Fraction(1), Fraction(0)],
-            [Fraction(4), Fraction(2), Fraction(1)],
-            [Fraction(0), Fraction(0), Fraction(3)],
-        ]
-    )
+    m = [
+        [Fraction(2), Fraction(1), Fraction(0)],
+        [Fraction(4), Fraction(2), Fraction(1)],
+        [Fraction(0), Fraction(0), Fraction(3)],
+    ]
     ech, piv = ordered_row_echelon(m)
     again, piv2 = ordered_row_echelon(ech)
     assert piv == piv2
     assert rank(m) == rank(ech) == len(piv)
 
 
-def rank_by_minors(m: ExactMatrix) -> int:
+def rank_by_minors(m: list[list]) -> int:
     """Independent oracle: largest k with a nonzero k x k minor.
 
     Exponential; meant for cross-checking small matrices.
     """
     best = 0
-    n = min(m.nrows, m.ncols)
-    for k in range(1, n + 1):
+    ncols = len(m[0]) if m else 0
+    for k in range(1, min(len(m), ncols) + 1):
         found = False
-        for rows in itertools.combinations(range(m.nrows), k):
-            for cols in itertools.combinations(range(m.ncols), k):
+        for rows in itertools.combinations(range(len(m)), k):
+            for cols in itertools.combinations(range(ncols), k):
                 if _minor_det(m, rows, cols) != 0:
                     found = True
                     break
@@ -126,19 +124,19 @@ def rank_by_minors(m: ExactMatrix) -> int:
     return best
 
 
-def _minor_det(m: ExactMatrix, rows, cols):
+def _minor_det(m: list[list], rows, cols):
     if len(rows) == 1:
-        return m.rows[rows[0]][cols[0]]
+        return m[rows[0]][cols[0]]
     total = None
     for j, c in enumerate(cols):
-        entry = m.rows[rows[0]][c]
+        entry = m[rows[0]][c]
         if not entry:
             continue
         sub = _minor_det(m, rows[1:], cols[:j] + cols[j + 1 :])
         term = entry * sub * (1 if j % 2 == 0 else -1)
         total = term if total is None else total + term
     if total is None:
-        zero = m.rows[rows[0]][cols[0]]
+        zero = m[rows[0]][cols[0]]
         return zero - zero
     return total
 
@@ -152,13 +150,13 @@ def _minor_det(m: ExactMatrix, rows, cols):
 )
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_minor_expansion(rows):
-    m = ExactMatrix([[Fraction(e) for e in r] for r in rows])
+    m = [[Fraction(e) for e in r] for r in rows]
     assert rank(m) == rank_by_minors(m)
 
 
 def test_solve_linear_simple():
-    m = ExactMatrix([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], ["x", "y"])
-    res = solve_linear(m, [Fraction(1), Fraction(2)])
+    m = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
+    res = solve_linear(m, ["x", "y"], [Fraction(1), Fraction(2)])
     assert res.solved["x"][0] == Fraction(-1)
     assert res.solved["y"][0] == Fraction(2)
     assert not res.unsolved
@@ -168,19 +166,17 @@ def test_solve_linear_blocked_and_allowed():
     ctx = Context()
     a = ctx.ratfn(0) + RatFn(ctx.poly_var(ctx.variable("a")), ctx.poly(1))
     b = RatFn(ctx.poly_var(ctx.variable("b")), ctx.poly(1))
-    m = ExactMatrix([[a]], ["x"])
-    res = solve_linear(m, [b])
+    res = solve_linear([[a]], ["x"], [b])
     assert res.unsolved == ["x"]
     assert len(res.residual) == 1
     assert res.blocked and res.blocked[0][0] == "x"
-    res2 = solve_linear(m, [b], invertible=lambda e: True)
+    res2 = solve_linear([[a]], ["x"], [b], invertible=lambda e: True)
     assert res2.solved["x"][0] == b / a
 
 
 def test_solve_linear_contradiction():
     """A row without unknowns (0 = 3) comes back as a residual."""
-    m = ExactMatrix([[Fraction(0)]], ["x"])
-    res = solve_linear(m, [Fraction(3)])
+    res = solve_linear([[Fraction(0)]], ["x"], [Fraction(3)])
     assert res.solved == {}
     assert res.residual == [({}, 3)]
 
@@ -224,10 +220,14 @@ def test_format_poly_is_canonical(ctx):
 
 
 def test_rank_zero_and_identity():
-    z = ExactMatrix([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]])
+    z = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
     assert rank(z) == 0
+    # No rows at all: callers rely on these instead of guarding empty inputs.
+    assert rank([]) == 0
+    assert ordered_row_echelon([]) == ([], [])
+    assert t_span_dim([]) == 0
     for n in (1, 2, 4):
-        ident = ExactMatrix([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         assert rank(ident) == n
 
 
@@ -379,7 +379,7 @@ def test_constant_ratfn_equals_its_quotient(q, k):
 # -- the elimination kernel against the Gauss-Jordan it replaced -------------------
 
 
-def oracle_solve_linear(system, rhs, invertible=None, scale=lambda c, v: c * v):
+def oracle_solve_linear(system, labels, rhs, invertible=None, scale=lambda c, v: c * v):
     """Gauss-Jordan with declared-invertible pivots, clearing every other row
     at each pivot: the algorithm ``solve_linear`` used before the shared
     forward-elimination kernel."""
@@ -394,10 +394,9 @@ def oracle_solve_linear(system, rhs, invertible=None, scale=lambda c, v: c * v):
                 return e.is_constant() and e.constant_value() != 0
             return e != 0
 
-    work = [list(r) for r in system.rows]
+    work = [list(r) for r in system]
     vec = list(rhs)
-    ncols = system.ncols
-    labels = system.column_labels
+    ncols = len(labels)
     pivot_of_col = {}
     used_rows = set()
     blocked = []
@@ -446,8 +445,9 @@ def oracle_solve_linear(system, rhs, invertible=None, scale=lambda c, v: c * v):
 
 
 def _same_solve(system, rhs, invertible=None):
-    res = solve_linear(system, rhs, invertible=invertible)
-    assert (res.solved, res.unsolved, res.residual, res.blocked) == oracle_solve_linear(system, rhs, invertible)
+    labels = [f"c{j}" for j in range(len(system[0]))]
+    res = solve_linear(system, labels, rhs, invertible=invertible)
+    assert (res.solved, res.unsolved, res.residual, res.blocked) == oracle_solve_linear(system, labels, rhs, invertible)
 
 
 small_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
@@ -462,7 +462,7 @@ fraction_rules = st.sampled_from([None, lambda e: e > 0, lambda e: abs(e) != 1])
 @example([[1, 1], [1, 1], [0, 2]], [1, 2, 3, 0, 0], lambda e: e > 0)
 @settings(max_examples=120, deadline=None)
 def test_solve_linear_matches_gauss_jordan_on_fractions(rows, rhs, rule):
-    system = ExactMatrix([[Fraction(e) for e in r] for r in rows], [f"c{j}" for j in range(len(rows[0]))])
+    system = [[Fraction(e) for e in r] for r in rows]
     _same_solve(system, [Fraction(v) for v in rhs[: len(rows)]], rule)
 
 
@@ -491,22 +491,23 @@ def test_solve_linear_matches_gauss_jordan_under_the_frame_rule(rows, rhs):
         used = c.variables()
         return bool(used) and used <= declared
 
-    system = ExactMatrix([[pool[e] for e in r] for r in rows], [f"c{j}" for j in range(len(rows[0]))])
+    system = [[pool[e] for e in r] for r in rows]
     _same_solve(system, [pool[v] for v in rhs[: len(rows)]], frame_rule)
 
 
 @given(fraction_matrices)
 @settings(max_examples=80, deadline=None)
 def test_echelon_pivots_are_the_rank_profile(rows):
-    m = ExactMatrix([[Fraction(e) for e in r] for r in rows])
-    prefix_ranks = [0] + [rank_by_minors(ExactMatrix([r[: c + 1] for r in m.rows])) for c in range(m.ncols)]
-    profile = [c for c in range(m.ncols) if prefix_ranks[c + 1] > prefix_ranks[c]]
+    m = [[Fraction(e) for e in r] for r in rows]
+    ncols = len(m[0])
+    prefix_ranks = [0] + [rank_by_minors([r[: c + 1] for r in m]) for c in range(ncols)]
+    profile = [c for c in range(ncols) if prefix_ranks[c + 1] > prefix_ranks[c]]
     ech, pivots = ordered_row_echelon(m)
     assert pivots == profile
-    for k, row in enumerate(ech.rows):
+    for k, row in enumerate(ech):
         lead = next((c for c, e in enumerate(row) if e), None)
         assert lead == (pivots[k] if k < len(pivots) else None)
-    assert rank_by_minors(ExactMatrix(m.rows + ech.rows)) == len(pivots)
+    assert rank_by_minors(m + ech) == len(pivots)
 
 
 def _combine(coeffs, rows):
@@ -524,12 +525,9 @@ def test_in_span_solutions_is_the_kernel_of_the_quotient_map(span, cand):
     span = [[Fraction(e) for e in r] for r in span]
     cand = [[Fraction(e) for e in r] for r in cand]
 
-    def rk(rows):
-        return rank_by_minors(ExactMatrix(rows)) if rows else 0
-
     vectors = _in_span_solutions(cand, span)
-    assert len(vectors) == len(cand) + rk(span) - rk(span + cand)
+    assert len(vectors) == len(cand) + rank_by_minors(span) - rank_by_minors(span + cand)
     for v in vectors:
         assert len(v) == len(cand)
-        assert rk(span + [_combine(v, cand)]) == rk(span)
-    assert rk(vectors) == len(vectors)
+        assert rank_by_minors(span + [_combine(v, cand)]) == rank_by_minors(span)
+    assert rank_by_minors(vectors) == len(vectors)

@@ -469,7 +469,7 @@ def test_trivial_isotropy_yields_full_annihilator(point_branch1):
     polys = frame_annihilator_full(point_branch1.engine, point_branch1.state, 1)
     filtered = t_degree_filter(polys, 4, 1)
     # dim T^{<=1} for m = 4: 4 constants + 16 degree-1 monomials
-    assert t_span_dim(filtered, 4) == 20
+    assert t_span_dim(filtered) == 20
 
 
 def test_commutators_all_zero_on_flat_equations(point_universal):

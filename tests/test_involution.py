@@ -195,17 +195,17 @@ def test_class_multiplicativity(a, counts):
 
 def test_symbol_matrix_single_generator():
     g = TPoly(1, {((1,), 0): Q(1)})
-    matrix = symbol_matrix([g], 1, [0])
-    assert matrix.nrows == 1 and matrix.ncols == 1
-    assert matrix.rows == [[Q(1)]]
+    rows, columns = symbol_matrix([g], 1, [0])
+    assert columns == [((1,), 0)]
+    assert rows == [[Q(1)]]
 
 
 def test_symbol_matrix_proportional_rows():
     g = T3(e3(2), 0)
     from cartanframes.exact import rank
 
-    matrix = symbol_matrix([g, g.scale(-2)], 1, NATURAL3)
-    assert rank(matrix) == 1
+    rows, _ = symbol_matrix([g, g.scale(-2)], 1, NATURAL3)
+    assert rank(rows) == 1
 
 
 def test_mixed_degree_rejected():

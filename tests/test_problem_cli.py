@@ -246,31 +246,38 @@ def test_statement_errors_are_positioned(body, message):
 
 
 PREFIX_CHECK = """
-import pathlib, sys
+import pathlib, re, sys
 from cartanframes.problem import ParseError, parse_problem
-for path in sorted(pathlib.Path(sys.argv[1]).glob("*.prob")):
+
+def check(path, text, what):
+    try:
+        parse_problem(text)
+    except ParseError:
+        pass
+    except Exception as err:
+        sys.exit(f"{path.name}, {what}: {type(err).__name__}: {err}")
+
+for path in map(pathlib.Path, sys.argv[1:]):
     text = path.read_text()
     for end in range(len(text) + 1):
-        try:
-            parse_problem(text[:end])
-        except ParseError:
-            pass
-        except Exception as err:
-            sys.exit(f"{path.name}, first {end} characters: {type(err).__name__}: {err}")
+        check(path, text[:end], f"first {end} characters")
+    for tok in re.finditer(r"[A-Za-z][A-Za-z0-9]*|[0-9]+|==|!=|[^\\s]", text):
+        check(path, text[: tok.start()] + text[tok.end() :], f"without {tok.group()!r} at offset {tok.start()}")
 """
 
 
 def test_every_prefix_of_a_shipped_problem_parses_or_raises_parse_error():
+    paths = sorted(PROBLEMS.glob("*.prob")) + [pathlib.Path(__file__).parent / "spoly0.prob"]
     try:
         result = subprocess.run(
-            [sys.executable, "-c", PREFIX_CHECK, str(PROBLEMS)],
+            [sys.executable, "-c", PREFIX_CHECK, *map(str, paths)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": _src_dir()},
             timeout=60,
         )
     except subprocess.TimeoutExpired:
-        pytest.fail("parse_problem did not return within 60 s on the prefixes of the shipped problems")
+        pytest.fail("parse_problem did not return within 60 s on the prefixes and token deletions of the problems")
     assert result.returncode == 0, result.stderr
 
 
@@ -368,6 +375,9 @@ def test_cli_priority_permutation_accepted():
     assert code == 0 and "cartan.priority = z,y,x" in out
 
 
+SIDE = '{"grids": [[0, 0.5, 1]], "invariants": ["s"]}'
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -385,6 +395,19 @@ def test_cli_priority_permutation_accepted():
             '{"parameters": ["s", "r"], "S": {"grids": [[0, 0.5, 1]], "invariants": ["s"]}, "Sbar": {"grids": [[0, 0.5, 1]], "invariants": ["s"]}}',
             "S.grids has 1 grids for 2 parameters",
         ),
+        # tolerances and grid values must be finite numbers
+        ('{"parameters": ["s"], "tol": Infinity, "S": %s, "Sbar": %s}' % (SIDE, SIDE), "tol is not a finite number: Infinity"),
+        ('{"parameters": ["s"], "tol": NaN, "S": %s, "Sbar": %s}' % (SIDE, SIDE), "tol is not a finite number: NaN"),
+        ('{"parameters": ["s"], "tol": -1e-9, "S": %s, "Sbar": %s}' % (SIDE, SIDE), "tol must be at least 0, got -1e-09"),
+        (
+            '{"parameters": ["s"], "S": {"grids": [[0, NaN, 1]], "invariants": ["s"]}, "Sbar": %s}' % SIDE,
+            "S.grids[0][1] is not a finite number: NaN",
+        ),
+        (
+            '{"parameters": ["s"], "S": %s, "Sbar": {"grids": [[0, -Infinity]], "invariants": ["s"]}}' % SIDE,
+            "Sbar.grids[0][1] is not a finite number: -Infinity",
+        ),
+        ('{"parameters": ["s"], "order": Infinity, "S": %s, "Sbar": %s}' % (SIDE, SIDE), "order is not a number: Infinity"),
     ],
 )
 def test_cli_signature_data_diagnostics(tmp_path, capsys, content, message):
@@ -395,9 +418,6 @@ def test_cli_signature_data_diagnostics(tmp_path, capsys, content, message):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith(f"error: --data {data}: ") and message in err
-
-
-SIDE = '{"grids": [[0, 0.5, 1]], "invariants": ["s"]}'
 
 
 @pytest.mark.parametrize(
@@ -434,6 +454,9 @@ def test_cli_signature_data_values_must_be_numbers(tmp_path, capsys, content, me
         (["point_branch1.prob", "coframe", "--mc-order", "-1"], "--mc-order must be at least 0, got -1"),
         (["twoform_case1.prob", "cartan-test", "--m", "-2"], "--m must be at least 1, got -2"),
         (["twoform_case1.prob", "cartan-test", "--m", "0"], "--m must be at least 1, got 0"),
+        (["contact.prob", "signature-compare", "--tol", "nan"], "--tol must be a finite number at least 0, got nan"),
+        (["contact.prob", "signature-compare", "--tol", "inf"], "--tol must be a finite number at least 0, got inf"),
+        (["contact.prob", "signature-compare", "--tol", "-1"], "--tol must be a finite number at least 0, got -1.0"),
     ],
 )
 def test_cli_missing_required_option_is_a_usage_error(capsys, argv, message):
@@ -466,6 +489,20 @@ def test_cli_rhs_parse_error_is_located_in_the_option(capsys, rhs, message):
         ("spoly { s_y; }", "term lacks an S factor"),
         ("spoly { t_x*S^z; }", "unexpected token 't' in spoly"),
         ("spoly { S^x; }", "unknown target 'x'"),
+        # denominators and exponents get the positioned checks of the other blocks
+        ("tpoly { 1/0*T^x; }", "3:11: zero denominator"),
+        ("tpoly { 2/x*T^x; }", "3:11: expected denominator"),
+        ("tpoly { t_x^y*T^x; }", "3:13: expected integer exponent"),
+        ("tpoly { t_x^*T^x; }", "3:13: expected integer exponent"),
+        ("spoly { S^z - 1/0*s_x*S^z; }", "3:17: zero denominator"),
+        ("spoly { S^z + s_y^x*S^z; }", "3:19: expected integer exponent"),
+        # a bare coefficient is a term without a target, not a dropped term
+        ("tpoly { T^x + 5; }", "3:16: term lacks a T factor"),
+        ("tpoly { 1/2; }", "3:12: term lacks a T factor"),
+        ("spoly { 1/2; }", "3:12: term lacks an S factor"),
+        # errors of the last term point at the closing semicolon
+        ("tpoly { T^x*T^y; }", "3:16: term must be linear in T"),
+        ("tpoly { 2*T^x + 3*t_x; }", "3:22: term lacks a T factor"),
     ],
 )
 def test_module_polynomial_parse_errors(block, message):
@@ -496,6 +533,11 @@ def test_subscript_parse_errors(statement, message):
     with pytest.raises(ParseError) as err:
         parse_problem(f"base x u;\nsplit independent x dependent u;\ncoeffs xi eta;\n{statement}\n")
     assert str(err.value) == message
+
+
+def test_module_statement_signs_compose():
+    pf = parse_problem("base x u;\nsplit independent x dependent u;\ntpoly { T^x - - T^u; - + -t_x*T^x; -T^u + -T^x; }\n")
+    assert print_problem(pf).endswith("tpoly {\n  T^x + T^u;\n  t_x*T^x;\n  -T^u - T^x;\n}\n")
 
 
 def test_module_generators_sum_repeated_terms():
