@@ -59,7 +59,8 @@ DEFAULTS = [
 EXIT_2 = {"point", "point_branch1", "point_branch4", "contact_asprinted"}
 # (golden name, command line): the canonical print of every shipped problem,
 # and the commands whose inputs are not the shipped problems at CLI flags
-# alone.  spoly0.prob is the benchmark's seed-1 groebner input.
+# alone.  spoly0.prob and tpoly0.prob are the benchmark's seed-1 groebner and
+# cartan-test inputs; tpoly6.prob is a six-variable cartan-test input.
 OTHER = [(f"{p.stem}_print", ["print", str(p)]) for p in sorted(PROBLEMS.glob("*.prob"))] + [
     ("point_classify-ode_rhs", ["run", str(PROBLEMS / "point.prob"), "classify-ode", "--rhs", "p^4 + x*p"]),
     ("twoform_case1_cartan-test_m_3", ["run", str(PROBLEMS / "twoform_case1.prob"), "cartan-test", "--m", "3"]),
@@ -72,6 +73,7 @@ OTHER = [(f"{p.stem}_print", ["print", str(p)]) for p in sorted(PROBLEMS.glob("*
         for which in ("equal", "distinct")
     ),
     ("spoly0_groebner", ["run", str(TESTS / "spoly0.prob"), "groebner"]),
+    *((f"{t}_cartan-test_order_2", ["run", str(TESTS / f"{t}.prob"), "cartan-test", "--order", "2"]) for t in ("tpoly0", "tpoly6")),
 ]
 # The walkthrough scripts, each golden named after its script.
 SCRIPTS = ["run_contact_ode", "run_involutivity", "run_point_ode"]
