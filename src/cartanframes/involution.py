@@ -1,9 +1,9 @@
 """Symbol modules and the algebraic involutivity pipeline: highest-order-term
-operator, multi-index classes, symbol matrices with class-ordered columns,
-indices, the Cartan test, Cartan characters, modified Stirling numbers and
-arbitrary-function counts, the beta substitution with prolonged-symbol
-preimages, restricted jet modules with parametric monomials, and Groebner
-bases of submodules of the free module R[s]^q.
+operator, indices from ranks of support-restricted symbol columns, the Cartan
+test, Cartan characters, modified Stirling numbers and arbitrary-function
+counts, the beta substitution with prolonged-symbol preimages, restricted jet
+modules with parametric monomials, and Groebner bases of submodules of the
+free module R[s]^q.
 
 Module elements are represented sparsely: a T-element maps (multi-index over
 t, target index) to a Fraction; an S-element additionally carries a constant
@@ -163,58 +163,55 @@ def t_span_dim(gens: Iterable[TPoly]) -> int:
     return rank([g.row(columns) for g in gens])
 
 
-def t_span_equal(a: Sequence[TPoly], b: Sequence[TPoly]) -> bool:
-    return t_span_dim(a) == t_span_dim(b) == t_span_dim([*a, *b])
-
-
 def t_homogeneous_component(gens: Iterable[TPoly], m: int, n: int) -> list[TPoly]:
     """Degree-n part of H(span(gens) intersect degree <= n): the degree-n
     parts of the degree-n rows of ``t_degree_filter``."""
     return [g.highest_term() for g in t_degree_filter(gens, m, n) if g.degree() == n]
 
 
-# -- classes, symbol matrix, indices, Cartan test -----------------------------------
+# -- indices, Cartan test ------------------------------------------------------------
+#
+# Under a priority (class 1 first) the columns (B, a) of class >= a are those
+# whose B uses only the variables priority[a-1:], and they come first in the
+# class-ordered symbol matrix.  Forward elimination without column swaps
+# pivots rank(prefix) columns of every prefix, so beta^(a)_n is
+# r(priority[a-1:]) - r(priority[a:]), with r(S) the rank of the columns whose
+# B uses only variables in S, and sum_a a*beta^(a)_n is sum_a r(priority[a-1:]).
 
 
-def class_of(B: Counts, priority: Sequence[int]) -> int:
-    """Class of a nonzero multi-index: the minimal priority rank among the
-    variables present.  ``priority`` lists variable positions from class 1 up."""
-    if mi_order(B) == 0:
-        raise ExactError("class of the zero multi-index is undefined")
-    ranks = {var: r + 1 for r, var in enumerate(priority)}
-    return min(ranks[i] for i, c in enumerate(B) if c)
-
-
-def symbol_matrix(gens: Sequence[TPoly], n: int, priority: Sequence[int]) -> tuple[list[list[Fraction]], list[TTerm]]:
-    """``(rows, columns)``: the rows are the generators' degree-n coefficients;
-    the columns are ordered by descending class, ties broken by graded-lex on
-    the exponents then by the target index."""
-    m = gens[0].m if gens else len(priority)
+def _support_ranks(gens: Sequence[TPoly], n: int):
+    """``r(S)`` for a frozenset S of variable positions: the rank of the
+    degree-n coefficient rows over the columns (B, a) with B supported in S,
+    each computed once."""
     for g in gens:
-        for B, a in g.terms:
-            if mi_order(B) != n:
-                raise ExactError("symbol matrix rows must be degree-homogeneous")
+        if any(mi_order(B) != n for B, _ in g.terms):
+            raise ExactError("symbol matrix rows must be degree-homogeneous")
+    if n == 0:
+        raise ExactError("class of the zero multi-index is undefined")
+    columns = sorted({key for g in gens for key in g.terms})
+    rows = [g.row(columns) for g in gens]
+    supports = [frozenset(i for i, e in enumerate(B) if e) for B, _ in columns]
+    cache = {frozenset(): 0}
 
-    def colkey(col):
-        B, a = col
-        cls = class_of(B, priority)
-        perm = tuple(B[priority[r]] for r in range(len(priority)))
-        return (-cls, perm, a)
+    def r(S: frozenset) -> int:
+        if S not in cache:
+            block = [j for j, sup in enumerate(supports) if sup <= S]
+            cache[S] = rank([[row[j] for j in block] for row in rows])
+        return cache[S]
 
-    columns = sorted(((B, a) for B in mi_all(m, n) for a in range(m)), key=colkey)
-    return [g.row(columns) for g in gens], columns
+    return r
+
+
+def _indices_from_ranks(r, priority: Sequence[int]) -> dict[int, int]:
+    m = len(priority)
+    ranks = [r(frozenset(priority[a:])) for a in range(m)] + [0]
+    return {a: ranks[a - 1] - ranks[a] for a in range(1, m + 1)}
 
 
 def indices(gens: Sequence[TPoly], n: int, priority: Sequence[int]) -> dict[int, int]:
-    """Pivot count per class of the echelon symbol matrix: beta^(a)_n."""
-    rows, columns = symbol_matrix(gens, n, priority)
-    _, pivots = ordered_row_echelon(rows)
-    m = len(priority)
-    beta = {a: 0 for a in range(1, m + 1)}
-    for c in pivots:
-        B, _ = columns[c]
-        beta[class_of(B, priority)] += 1
-    return beta
+    """beta^(a)_n: the pivot count per class of the class-ordered echelon
+    symbol matrix; ``priority`` lists variable positions from class 1 up."""
+    return _indices_from_ranks(_support_ranks(gens, n), priority)
 
 
 def prolong_generators(gens: Sequence[TPoly], m: int) -> list[TPoly]:
@@ -230,7 +227,7 @@ def cartan_test(gens_n: Sequence[TPoly], n: int, priority: Sequence[int]):
     T^{n+1} spanned by the prolongation t_a . gens_n.  Returns a dict report."""
     beta = indices(gens_n, n, priority)
     weighted = sum(a * b for a, b in beta.items())
-    rk = rank(symbol_matrix(prolong_generators(gens_n, gens_n[0].m), n + 1, priority)[0])
+    rk = t_span_dim(prolong_generators(gens_n, gens_n[0].m))
     return {
         "beta": beta,
         "rank_next": rk,
@@ -249,8 +246,10 @@ def delta_regular_search(gens: Sequence[TPoly], n: int):
 
     Exhaustive over permutations for at most ``MAX_EXHAUSTIVE`` variables;
     beyond that a deterministic pseudo-random sample of permutations (a full
-    Zariski-generic linear change is unnecessary for the shipped fixtures)."""
+    Zariski-generic linear change is unnecessary for the shipped fixtures).
+    The candidates share one rank per variable subset, at most 2^m - 1."""
     m = gens[0].m
+    r = _support_ranks(gens, n)
     best = None
     if m <= MAX_EXHAUSTIVE:
         candidates = itertools.permutations(range(m))
@@ -261,7 +260,7 @@ def delta_regular_search(gens: Sequence[TPoly], n: int):
         candidates = [tuple(rng.sample(range(m), m)) for _ in range(720)]
     ties = []
     for perm in candidates:
-        beta = indices(gens, n, list(perm))
+        beta = _indices_from_ranks(r, perm)
         score = sum(a * b for a, b in beta.items())
         if best is None or score > best[0]:
             best = (score, list(perm), beta)
@@ -605,9 +604,5 @@ def annihilator_dimension_check(
     to polynomials of degree <= n."""
     left = t_degree_filter(list(pstar_basis) + list(l_basis), m, n)
     right = t_degree_filter(list(t_basis), m, n)
-    return {
-        "n": n,
-        "lhs_dim": t_span_dim(left),
-        "rhs_dim": t_span_dim(right),
-        "pass": t_span_equal(left, right),
-    }
+    lhs, rhs = t_span_dim(left), t_span_dim(right)
+    return {"n": n, "lhs_dim": lhs, "rhs_dim": rhs, "pass": lhs == rhs == t_span_dim(left + right)}

@@ -563,65 +563,52 @@ def _module_blocks(pf: ProblemFile):
 
 
 def _build_module_statement(stmt: list, letter: str, varnames: list[str], targets: list[str]) -> TPolyDecl:
-    """One statement of a module-polynomial block, like ``t_x^2*T^u - T^p;``."""
+    """One statement of a module-polynomial block, like ``t_x^2*T^u - T^p;``:
+    terms joined by signs, each term a ``*``-product of factors."""
     upper = letter.upper()
     toks = _Tokens(tokens=stmt)
     terms = []
-    sign = 1
-    pending: list = []  # the factors of the current term
-
-    def flush(line, col):
-        nonlocal sign, pending
-        if pending:
-            counts = [0] * len(varnames)
-            coeff = Fraction(sign)
-            target = None
-            for kind, what in pending:
-                if kind == letter:
-                    counts[what[0]] += what[1]
-                elif kind == "num":
-                    coeff *= what
-                else:
-                    if target is not None:
-                        raise ParseError(f"term must be linear in {upper}", line, col)
-                    target = what
-            if target is None:
-                raise ParseError(f"term lacks {'an' if upper == 'S' else 'a'} {upper} factor", line, col)
-            terms.append((tuple(counts), target, coeff))
-            sign, pending = 1, []
-
-    while toks.peek()[1] != ";":
-        kind, val, line, col = toks.next()
-        if val == "+":
-            flush(line, col)
-        elif val == "-":
-            flush(line, col)
-            sign = -sign
-        elif val == "*":
-            continue
-        elif kind == "num":
-            pending.append(("num", Fraction(int(val), _parse_denominator(toks))))
-        elif val == letter:
-            toks.expect("_")
-            kind2, val2, l2, c2 = toks.next()
-            name_counts = _split_compact_subscript(val2, varnames, l2, c2)
-            exp = 1
-            if toks.at("^"):
-                toks.next()
-                exp = _parse_exponent(toks)
-            for slot, c in enumerate(name_counts):
-                if c:
-                    pending.append((letter, (slot, c * exp)))
-        elif val == upper:
-            toks.expect("^")
-            kind2, val2, l2, c2 = toks.next()
-            if val2 not in targets:
-                raise ParseError(f"unknown target {val2!r}", l2, c2)
-            pending.append((upper, targets.index(val2)))
-        else:
-            raise ParseError(f"unexpected token {val!r} in {letter}poly", line, col)
-    flush(*toks.peek()[2:])  # errors of the last term point at the closing ";"
-    return TPolyDecl(terms)
+    while True:
+        sign = 1
+        while toks.peek()[1] in ("+", "-"):
+            if toks.next()[1] == "-":
+                sign = -sign
+        counts, coeff, found = [0] * len(varnames), Fraction(sign), []
+        while True:
+            kind, val, line, col = toks.next()
+            if kind == "num":
+                coeff *= Fraction(int(val), _parse_denominator(toks))
+            elif val == letter:
+                toks.expect("_")
+                kind2, val2, l2, c2 = toks.next()
+                name_counts = _split_compact_subscript(val2, varnames, l2, c2)
+                exp = 1
+                if toks.at("^"):
+                    toks.next()
+                    exp = _parse_exponent(toks)
+                counts = [a + c * exp for a, c in zip(counts, name_counts)]
+            elif val == upper:
+                toks.expect("^")
+                kind2, val2, l2, c2 = toks.next()
+                if val2 not in targets:
+                    raise ParseError(f"unknown target {val2!r}", l2, c2)
+                found.append(targets.index(val2))
+            else:
+                raise ParseError(f"unexpected token {val!r} in {letter}poly", line, col)
+            if not toks.at("*"):
+                break
+            toks.next()
+        # errors of a term point at the token after it, the closing ";" for the last
+        kind, val, line, col = toks.peek()
+        if val not in (";", "+", "-"):
+            raise ParseError(f"expected an operator or ';', found {val!r}", line, col)
+        if len(found) > 1:
+            raise ParseError(f"term must be linear in {upper}", line, col)
+        if not found:
+            raise ParseError(f"term lacks {'an' if upper == 'S' else 'a'} {upper} factor", line, col)
+        terms.append((tuple(counts), found[0], coeff))
+        if val == ";":
+            return TPolyDecl(terms)
 
 
 # -- canonical printing ----------------------------------------------------------------

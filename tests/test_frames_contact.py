@@ -14,10 +14,10 @@ from cartanframes.involution import (
     delta_regular_search,
     indices,
     t_homogeneous_component,
-    t_span_equal,
 )
 from conftest import load_problem, session
 from isotropy import _field_linear_to_tpoly, frame_annihilator_full, invariantize_parametrized, pstar_basis, restrict_targets
+from symbol_echelon import t_span_equal
 
 X, U, P, QV = 0, 1, 2, 3
 Z = (0, 0, 0, 0)
@@ -99,7 +99,7 @@ def test_symbol_matrix_layout(contact_frame):
     T^q columns outside the t_q block); echelon leaves 8 rows with pivot
     classes 4,4,4,4,3,3,3,2."""
     from cartanframes.exact import ordered_row_echelon
-    from cartanframes.involution import class_of, symbol_matrix
+    from symbol_echelon import class_of, symbol_matrix
 
     gens = t_homogeneous_component(PRINTED_TWELVE, 4, 1)
     priority = [U, P, X, QV]

@@ -23,7 +23,6 @@ from cartanframes.involution import (
     arbitrary_function_counts,
     cartan_characters,
     cartan_test,
-    class_of,
     delta_regular_search,
     groebner_module,
     groebner_reduce,
@@ -34,9 +33,11 @@ from cartanframes.involution import (
     monomial_complement,
     prolong_generators,
     prolonged_symbol_preimage,
-    symbol_matrix,
     t_homogeneous_component,
 )
+from cartanframes.jets import mi_all
+import symbol_echelon
+from symbol_echelon import class_of, symbol_matrix
 
 Q = Fraction
 
@@ -209,8 +210,70 @@ def test_symbol_matrix_proportional_rows():
 
 
 def test_mixed_degree_rejected():
-    with pytest.raises(ExactError):
-        symbol_matrix([T3(e3(0), 0) + T3((1, 1, 0), 0)], 1, NATURAL3)
+    mixed = [T3(e3(0), 0) + T3((1, 1, 0), 0)]
+    for f in (symbol_matrix, indices):
+        with pytest.raises(ExactError, match="degree-homogeneous"):
+            f(mixed, 1, NATURAL3)
+    with pytest.raises(ExactError, match="degree-homogeneous"):
+        delta_regular_search(mixed, 1)
+
+
+def test_degree_zero_indices_rejected():
+    """Degree 0 has only the zero multi-index, which has no class."""
+    for gens in ([T3((0, 0, 0), 1)], []):
+        for f in (symbol_echelon.indices, indices):
+            with pytest.raises(ExactError, match="zero multi-index"):
+                f(gens, 0, NATURAL3)
+
+
+@st.composite
+def symbol_generators(draw):
+    """Degree-n homogeneous generators over m variables, m = 2..6 and
+    n = 1..2: sparse rows with small coefficients, some of them repeated,
+    rescaled or combined from earlier rows, so that rank deficiency is common."""
+    m = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=2))
+    key = st.tuples(st.sampled_from(mi_all(m, n)), st.integers(min_value=0, max_value=m - 1))
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool).map(Q)
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        if gens and draw(st.booleans()):
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            gens.append(a.scale(draw(coeff)) + b.scale(draw(st.integers(min_value=-2, max_value=2))))
+        else:
+            gens.append(TPoly(m, draw(st.dictionaries(key, coeff, min_size=1, max_size=4))))
+    priority = draw(st.permutations(range(m)))
+    return gens, n, list(priority)
+
+
+@given(symbol_generators())
+@settings(max_examples=30, deadline=None)
+def test_indices_and_search_match_the_echelon_oracle(case):
+    gens, n, priority = case
+    assert indices(gens, n, priority) == symbol_echelon.indices(gens, n, priority)
+    assert delta_regular_search(gens, n) == symbol_echelon.delta_regular_search(gens, n)
+
+
+def test_search_takes_one_rank_per_variable_subset(monkeypatch):
+    """At m = 6 the search ranks each of the 63 nonempty variable subsets at
+    most once, where one echelon per priority would take 720."""
+    from cartanframes import involution
+
+    rank = involution.rank
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(involution, "rank", counted)
+    m = 6
+    gens = [
+        TPoly(m, {(tuple(2 if i == v else 0 for i in range(m)), (v + 1) % m): Q(1)}) for v in range(m)
+    ]
+    search = delta_regular_search(gens, 2)
+    assert len(search["optimal"]) == 720
+    assert 0 < len(calls) <= 2**m - 1
 
 
 def test_case1_numbers():

@@ -267,7 +267,7 @@ for path in map(pathlib.Path, sys.argv[1:]):
 
 
 def test_every_prefix_of_a_shipped_problem_parses_or_raises_parse_error():
-    paths = sorted(PROBLEMS.glob("*.prob")) + [pathlib.Path(__file__).parent / "spoly0.prob"]
+    paths = sorted(PROBLEMS.glob("*.prob")) + sorted(pathlib.Path(__file__).parent.glob("*.prob"))
     try:
         result = subprocess.run(
             [sys.executable, "-c", PREFIX_CHECK, *map(str, paths)],
@@ -503,6 +503,14 @@ def test_cli_rhs_parse_error_is_located_in_the_option(capsys, rhs, message):
         # errors of the last term point at the closing semicolon
         ("tpoly { T^x*T^y; }", "3:16: term must be linear in T"),
         ("tpoly { 2*T^x + 3*t_x; }", "3:22: term lacks a T factor"),
+        # a dangling or a missing operator, and an empty statement
+        ("tpoly { T^x + ; }", "3:15: unexpected token ';' in tpoly"),
+        ("tpoly { T^x * ; }", "3:15: unexpected token ';' in tpoly"),
+        ("tpoly { 2 3 T^x; }", "3:11: expected an operator or ';', found '3'"),
+        ("tpoly { T^x t_x; }", "3:13: expected an operator or ';', found 't'"),
+        ("spoly { S^z s_x*S^z; }", "3:13: expected an operator or ';', found 's'"),
+        ("spoly { S^z - ; }", "3:15: unexpected token ';' in spoly"),
+        ("tpoly { ; }", "3:9: unexpected token ';' in tpoly"),
     ],
 )
 def test_module_polynomial_parse_errors(block, message):
