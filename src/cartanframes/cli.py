@@ -316,9 +316,7 @@ def _to_callable(jc: JetContext, params, expr: RatFn):
     ids = [jc.x_var(i).vid for i in range(len(params))]
 
     def evaluate(*point):
-        mapping = {vid: Fraction(value).limit_denominator(10**12) for vid, value in zip(ids, point)}
-        value = expr.subs(mapping)
-        return float(value.constant_value())
+        return float(expr.at({vid: Fraction(value).limit_denominator(10**12) for vid, value in zip(ids, point)}))
 
     evaluate.expr = expr
     return evaluate

@@ -288,23 +288,15 @@ class Poly:
             _add_term(out, tuple(sorted(d.items())), c * e)
         return Poly(self.ctx, out)
 
-    def subs(self, mapping: dict[int, "Poly | Fraction | int"]) -> "Poly":
-        """Substitute variables (by id) with polynomials or constants."""
-        if not any(vid in mapping for vid in self.variables()):
+    def rename(self, vid_map: dict[int, int]) -> "Poly":
+        """Relabel variables (by id) through an injective map onto variables
+        the polynomial does not hold; coefficients are kept."""
+        if vid_map.keys().isdisjoint(self.variables()):
             return self
-        result = Poly(self.ctx, {})
-        for key, c in self.terms.items():
-            term = self.ctx.poly(c)
-            for vid, e in key:
-                if vid in mapping:
-                    repl = mapping[vid]
-                    if not isinstance(repl, Poly):
-                        repl = self.ctx.poly(Q(repl))
-                    term = term * repl**e
-                else:
-                    term = term * self.ctx.poly_var(self.ctx.var_by_id(vid), e)
-            result = result + term
-        return result
+        return Poly(
+            self.ctx,
+            {tuple(sorted([(vid_map.get(vid, vid), e) for vid, e in key])): c for key, c in self.terms.items()},
+        )
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
@@ -423,17 +415,48 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _monic(a)
     if a.is_constant() or b.is_constant():
         return a.ctx.poly(1)
-    common = a.variables() & b.variables()
+    da, db = _degrees(a), _degrees(b)
+    common = da.keys() & db.keys()
     if not common:
         return a.ctx.poly(1)
-    var = a.ctx.var_by_id(max(common, key=lambda vid: a.ctx.var_by_id(vid).skey))
+    # the main variable: a common one of least degree, the latest in the
+    # variable order among those
+    least = min(max(da[vid], db[vid]) for vid in common)
+    var = max(
+        (a.ctx.var_by_id(vid) for vid in common if max(da[vid], db[vid]) == least), key=lambda var: var.skey
+    )
     ua, ub = _as_univariate(a, var), _as_univariate(b, var)
+    if len(da) == 1 and len(db) == 1:
+        return _uni_gcd_q(a.ctx, var, ua, ub)
     ca, cb = _content(a.ctx, ua), _content(a.ctx, ub)
     pa = {e: _poly_divmod_exact(c, ca) for e, c in ua.items()}
     pb = {e: _poly_divmod_exact(c, cb) for e, c in ub.items()}
     gc = poly_gcd(ca, cb)
     gp = a.ctx.poly(1) if _images_coprime(pa, pb) else _prs_gcd(a.ctx, var, pa, pb)
     return _monic(gc * gp)
+
+
+def _degrees(p: Poly) -> dict[int, int]:
+    """The degree of ``p`` in each of its variables."""
+    out: dict[int, int] = {}
+    for key in p.terms:
+        for vid, e in key:
+            if e > out.get(vid, 0):
+                out[vid] = e
+    return out
+
+
+def _uni_gcd_q(ctx: Context, var: Variable, ua: dict[int, Poly], ub: dict[int, Poly]) -> Poly:
+    """Monic gcd of two univariate polynomials in ``var`` (views with
+    constant coefficients), by Euclid over Q on dense coefficient lists."""
+    fa = [ua[e].constant_value() if e in ua else QZERO for e in range(_uni_degree(ua) + 1)]
+    fb = [ub[e].constant_value() if e in ub else QZERO for e in range(_uni_degree(ub) + 1)]
+    while fb:
+        fa, fb = fb, _uni_rem_q(fa, fb)
+        while fb and not fb[-1]:
+            fb.pop()
+    lead = fa[-1]
+    return Poly(ctx, {((var.vid, e),) if e else (): c / lead for e, c in enumerate(fa) if c})
 
 
 def _images_coprime(pa: dict[int, Poly], pb: dict[int, Poly]) -> bool:
@@ -447,12 +470,12 @@ def _images_coprime(pa: dict[int, Poly], pb: dict[int, Poly]) -> bool:
     lead = pa[_uni_degree(pa)]
     for shift in range(1, 4):
         point = {vid: Q(shift + k) for k, vid in enumerate(vids)}
-        if _evaluate(lead, point):
+        if evaluate(lead, point):
             break
     else:
         return False
-    fa = [_evaluate(pa.get(e), point) for e in range(_uni_degree(pa) + 1)]
-    fb = [_evaluate(pb.get(e), point) for e in range(_uni_degree(pb) + 1)]
+    fa = [evaluate(pa.get(e), point) for e in range(_uni_degree(pa) + 1)]
+    fb = [evaluate(pb.get(e), point) for e in range(_uni_degree(pb) + 1)]
     while any(fb):
         while not fb[-1]:
             fb.pop()
@@ -462,12 +485,17 @@ def _images_coprime(pa: dict[int, Poly], pb: dict[int, Poly]) -> bool:
     return False
 
 
-def _evaluate(p: Optional[Poly], point: dict[int, Fraction]) -> Fraction:
+def evaluate(p: Optional[Poly], point: dict[int, Fraction]) -> Fraction:
+    """``p`` at a point (variable id -> value); None is the zero polynomial.
+    A variable of ``p`` without a value is an error."""
     out = QZERO
-    for key, c in p.terms.items() if p is not None else ():
-        for vid, e in key:
-            c *= point[vid] ** e
-        out += c
+    try:
+        for key, c in p.terms.items() if p is not None else ():
+            for vid, e in key:
+                c *= point[vid] ** e
+            out += c
+    except KeyError:
+        raise ExactError("polynomial is not constant") from None
     return out
 
 
@@ -562,7 +590,8 @@ class RatFn:
     Invariant: ``num`` and ``den`` of every instance are coprime.
     ``_reduce_pair`` makes them so; the constructions that skip it
     (``_normalized=True``) keep it: ``Context.ratfn`` (constant over
-    constant), ``poly / 1`` wrappers, negation and ``_times_constant``.
+    constant), ``poly / 1`` wrappers, negation, ``_times_constant`` and
+    ``rename``.
     Multiplying by a constant relies on it to skip the gcd."""
 
     __slots__ = ("num", "den")
@@ -657,8 +686,25 @@ class RatFn:
             return self.ctx.ratfn(0)
         return RatFn(dn * self.den - self.num * dd, self.den * self.den)
 
-    def subs(self, mapping: dict[int, Poly | Fraction | int]) -> "RatFn":
-        return RatFn(self.num.subs(mapping), self.den.subs(mapping))
+    def rename(self, vid_map: dict[int, int]) -> "RatFn":
+        """Relabel variables as ``Poly.rename`` does.  A relabelling keeps
+        ``num`` and ``den`` coprime and keeps their coefficients, so of the
+        canonical form only the sign step is redone: the graded-lex order,
+        and with it the leading term of ``den``, can change."""
+        num, den = self.num.rename(vid_map), self.den.rename(vid_map)
+        if num is self.num and den is self.den:
+            return self
+        if den is not self.den and den.leading_coeff() < 0:
+            num, den = -num, -den
+        return RatFn(num, den, _normalized=True)
+
+    def at(self, point: dict[int, Fraction]) -> Fraction:
+        """The value at a point (variable id -> value) that gives every
+        variable of ``num`` and ``den`` a value."""
+        den = evaluate(self.den, point)
+        if not den:
+            raise ExactError("zero denominator")
+        return evaluate(self.num, point) / den
 
     def __repr__(self):
         return f"RatFn({format_ratfn(self)})"

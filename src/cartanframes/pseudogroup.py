@@ -197,25 +197,20 @@ class MCRelationSet:
     z -> iota(z), zeta^a_B -> mu^a_B of a determining system.
 
     The relation data is shared with the source system; only the coefficient
-    variables change (base coordinates become their invariantized
-    counterparts).  The lift feeds the restricted structure equations and the
-    ``lift`` report; the recurrence engine evaluates the system directly."""
+    variables change: each base coordinate is renamed to its invariantized
+    counterpart, a one-to-one relabelling (``RatFn.rename``).  The lift feeds
+    the restricted structure equations and the ``lift`` report; the
+    recurrence engine evaluates the system directly."""
 
     def __init__(self, system: DeterminingSystem):
         self.system = system
         self.jc = system.jc
-        self._lift_map = self._build_lift_map()
-
-    def _build_lift_map(self) -> dict[int, Poly]:
-        out = {}
-        for coord in self.system.base_coords:
-            zvar = self.jc.coord_var(coord)
-            ivar = self.jc.invariant_var(coord)
-            out[zvar.vid] = self.jc.pvar(ivar)
-        return out
+        self._lift_map = {
+            self.jc.coord_var(coord).vid: self.jc.invariant_var(coord).vid for coord in system.base_coords
+        }
 
     def lift_coeff(self, f: RatFn) -> RatFn:
-        return f.subs(self._lift_map)
+        return f.rename(self._lift_map)
 
     def relation(self, key: JetKey) -> LinComb:
         """Lifted, fully reduced right side of a solved MC symbol."""

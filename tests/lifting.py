@@ -1,5 +1,5 @@
 """Views of the lift that only the tests use: a lifted relation as the
-problem file writes it, and the inverse substitution back to the
+problem file writes it, and the inverse relabelling back to the
 determining system."""
 
 from typing import Optional
@@ -16,8 +16,8 @@ def relation_one_step(mc: MCRelationSet, key: JetKey) -> Optional[LinComb]:
 
 
 def unlift(mc: MCRelationSet, key: JetKey, lc: LinComb) -> tuple[LinComb, LinComb]:
-    """Substitute iota(z) -> z, mu -> zeta: returns (lhs, rhs) determining
+    """Rename iota(z) -> z, mu -> zeta: returns (lhs, rhs) determining
     relation for consistency checks."""
     jc = mc.jc
-    unmap = {jc.invariant_var(coord).vid: jc.pvar(jc.coord_var(coord)) for coord in mc.system.base_coords}
-    return {key: jc.ratfn(1)}, {k: c.subs(unmap) for k, c in lc.items()}
+    unmap = {jc.invariant_var(coord).vid: jc.coord_var(coord).vid for coord in mc.system.base_coords}
+    return {key: jc.ratfn(1)}, {k: c.rename(unmap) for k, c in lc.items()}

@@ -1,12 +1,17 @@
 """Exact arithmetic and deterministic linear algebra."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cartanframes
 from cartanframes.exact import (
     Context,
     ExactError,
@@ -22,6 +27,7 @@ from cartanframes.exact import (
 )
 from cartanframes.involution import t_span_dim
 from cartanframes.jets import JetContext
+from substitution import subs_poly, subs_ratfn
 
 
 @pytest.fixture()
@@ -339,6 +345,146 @@ def test_a_common_factor_survives_the_coprimality_test():
     a, b, h, (x, p, q, one) = _stalling_pair()
     assert poly_gcd(h * (x + p), h * (q * q + one)) == h
     assert poly_gcd(a * h, b * h) == h
+
+
+# -- the relabelling and the point evaluation against substitution ----------------
+
+# c * x^i * u^j * u_x^k over the base coordinates x, u and the jet u_x
+jet_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=-3, max_value=3).filter(bool),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _lift_setting():
+    """x, u, u_x, and the map x -> X, u -> U onto invariants registered after
+    u_x, so that a renamed key must be sorted again."""
+    jc = JetContext(["x"], ["u"])
+    jets = [jc.x_var(0), jc.u_var(0, (0,)), jc.u_var(0, (1,))]
+    lift = {jets[0].vid: jc.invariant_var(("x", 0)).vid, jets[1].vid: jc.invariant_var(("u", 0, (0,))).vid}
+    return jc, jets, lift
+
+
+def _jet_poly(jc, jets, spec):
+    x, u, ux = map(jc.pvar, jets)
+    out = jc.poly(0)
+    for i, j, k, c in spec:
+        out = out + jc.poly(c) * x**i * u**j * ux**k
+    return out
+
+
+def _same_value(a, b):
+    assert (a.num.terms, a.den.terms) == (b.num.terms, b.den.terms)
+    assert a == b and hash(a) == hash(b)
+
+
+@given(jet_terms, jet_terms)
+@example([(0, 0, 0, 1)], [(1, 0, 0, 1), (0, 0, 1, -1)])  # 1/(x - u_x): lift leads with -u_x
+@example([(1, 0, 1, 2)], [(1, 0, 1, -1), (2, 0, 0, 1)])  # 2*x*u_x/(x^2 - x*u_x)
+@settings(max_examples=80, deadline=None)
+def test_rename_is_the_substitution_of_variables(snum, sden):
+    jc, jets, lift = _lift_setting()
+    num, den = _jet_poly(jc, jets, snum), _jet_poly(jc, jets, sden)
+    assume(num and not den.is_constant())
+    if den.leading_coeff() > 0:
+        den = -den
+    f = RatFn(num, den)
+    images = {z: jc.ctx.poly_var(jc.ctx.var_by_id(i)) for z, i in lift.items()}
+    lifted = f.rename(lift)
+    _same_value(lifted, subs_ratfn(f, images))
+    assert subs_poly(num, images) == num.rename(lift)
+    _same_value(lifted.rename({i: z for z, i in lift.items()}), f)
+    assert f.rename({}) is f
+
+
+@given(jet_terms, jet_terms, st.tuples(*[st.integers(min_value=-2, max_value=2)] * 3))
+@settings(max_examples=80, deadline=None)
+def test_a_point_value_is_the_substitution_of_constants(snum, sden, values):
+    jc, jets, _ = _lift_setting()
+    num, den = _jet_poly(jc, jets, snum), _jet_poly(jc, jets, sden)
+    assume(den)
+    f = RatFn(num, den)
+    point = {var.vid: Fraction(v) for var, v in zip(jets, values)}
+    try:
+        want = subs_ratfn(f, point)
+    except ExactError as err:
+        assert str(err) == "zero denominator"
+        with pytest.raises(ExactError, match="zero denominator"):
+            f.at(point)
+    else:
+        assert f.at(point) == want.constant_value()
+
+
+def test_a_point_value_needs_every_variable():
+    jc, jets, _ = _lift_setting()
+    x, u, ux = map(jc.pvar, jets)
+    point = {jets[0].vid: Fraction(1)}
+    with pytest.raises(ExactError, match="zero denominator"):
+        RatFn(u, x - jc.poly(1)).at(point)
+    with pytest.raises(ExactError, match="polynomial is not constant"):
+        RatFn(u, x + jc.poly(1)).at(point)
+    assert RatFn(x, x + jc.poly(1)).at(point) == Fraction(1, 2)
+
+
+# Runs in a child process: a gcd that stalls fails the time bound instead of
+# hanging the suite.
+COMMON_FACTOR_GCD = """
+from fractions import Fraction
+from cartanframes.exact import poly_gcd
+from cartanframes.jets import JetContext
+
+jc = JetContext(["x", "u", "p"], ["q"])
+x, p = jc.pvar(jc.x_var(0)), jc.pvar(jc.x_var(2))
+q = jc.pvar(jc.u_var(0, (0, 0, 0)))
+one = jc.poly(1)
+a = x**2 * p**3 + 3 * x * p**4 + Fraction(3, 2) * p**4 + jc.poly(Fraction(1, 3))
+b = (Fraction(1, 3) * p**5 + 2 * x * q) ** 2 + one
+h = x + p + one
+assert poly_gcd(a * h, b * h) == h, poly_gcd(a * h, b * h)
+assert poly_gcd(b * h, a * h * h) == h
+"""
+
+
+def test_gcd_with_a_common_factor_returns_in_time():
+    """With ``h = x + p + 1`` the remainder sequence in ``p`` (degree 11 in
+    ``b*h``) ran for over a minute; the main variable is now a common one of
+    least degree, ``x``."""
+    src = str(pathlib.Path(cartanframes.__file__).resolve().parent.parent)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", COMMON_FACTOR_GCD],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("poly_gcd(a*h, b*h) did not return within 30 s")
+    assert result.returncode == 0, result.stderr
+
+
+@given(small_polys, small_polys, small_polys)
+@settings(max_examples=40, deadline=None)
+def test_univariate_gcd_by_euclid_over_q_matches_the_remainder_sequence(sf, sg, sh):
+    from cartanframes.exact import _as_univariate, _poly_divmod_exact, _prs_gcd
+
+    ctx = Context()
+    var = ctx.variable("x")
+    x = ctx.poly_var(var)
+    f, g, h = (_poly_of(ctx, x, ctx.poly(1), s) for s in (sf, sg, sh))
+    a, b = f * h, g * h
+    if a.is_constant() or b.is_constant():
+        return
+    got = poly_gcd(a, b)
+    assert got == _monic_of(_prs_gcd(ctx, var, _as_univariate(a, var), _as_univariate(b, var)))
+    if not h.is_constant():
+        _poly_divmod_exact(got, h)  # raises unless h divides the gcd
 
 
 def _fail_call(*args, **kwargs):

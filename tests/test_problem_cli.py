@@ -444,6 +444,21 @@ def test_cli_signature_data_values_must_be_numbers(tmp_path, capsys, content, me
 
 
 @pytest.mark.parametrize(
+    "invariant, message",
+    [
+        ("s*w", "polynomial is not constant"),  # w is not a parameter
+        ("1/(s - 1/2)", "zero denominator"),  # the grid holds s = 0.5
+    ],
+)
+def test_cli_signature_invariant_value_diagnostics(tmp_path, capsys, invariant, message):
+    data = tmp_path / "data.json"
+    data.write_text('{"parameters": ["s"], "S": {"grids": [[0, 0.5, 1]], "invariants": ["%s"]}, "Sbar": %s}' % (invariant, SIDE))
+    code, out = _run_cli("run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(data))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["point.prob", "classify-ode"], "missing --rhs"),

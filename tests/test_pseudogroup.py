@@ -16,6 +16,7 @@ from cartanframes.pseudogroup import (
 )
 from conftest import load_problem
 from lifting import relation_one_step, unlift
+from substitution import subs_ratfn
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +239,7 @@ def _flow_prolong(jc, chi_val, psi_val, J, eps):
     act = prolonged_action(jc, [RatFn(chi_val, jc.poly(1))], [RatFn(psi_val, jc.poly(1))], sum(J))
     value = act[("u", 0, J)]
     num = value.num.partial(eps) * value.den - value.num * value.den.partial(eps)
-    return RatFn(num, value.den * value.den).subs({eps.vid: 0})
+    return subs_ratfn(RatFn(num, value.den * value.den), {eps.vid: 0})
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
