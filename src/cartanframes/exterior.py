@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from .exact import ExactError, Q, RatFn, _add_term, format_ratfn, format_sum, format_term, subscript
 from .jets import Counts, JetContext, mi_bump, mi_factorial, mi_order, mi_zero
-from .pseudogroup import DeterminingSystem, JetKey
+from .pseudogroup import DeterminingSystem, JetKey, MCRelationSet
 
 
 class FormSymbol:
@@ -204,22 +204,14 @@ def format_form(form: ExteriorForm) -> str:
     return format_sum([format_term(format_ratfn(c), "^".join(fc.by_id(s).name for s in word)) for word, c in items])
 
 
-def substitute(
-    form: ExteriorForm,
-    mapping: dict[int, ExteriorForm],
-    coeff_sub: Optional[Callable[[RatFn], RatFn]] = None,
-) -> ExteriorForm:
-    """Replace symbols by one-forms and apply a coefficient substitution.
+def substitute(form: ExteriorForm, mapping: dict[int, ExteriorForm]) -> ExteriorForm:
+    """Replace symbols by one-forms.
 
     A word without a mapped symbol is copied as it is; only a word with one is
     re-wedged symbol by symbol, which handles the signs."""
     fc = form.fc
     out: dict[Word, RatFn] = {}
     for word, c in form.terms.items():
-        if coeff_sub is not None:
-            c = coeff_sub(c)
-            if c.is_zero():
-                continue
         if mapping.keys().isdisjoint(word):
             _add_term(out, word, c)
             continue
@@ -390,30 +382,27 @@ def _splits_below(B: Counts) -> list[Counts]:
     return out
 
 
-def mc_expansion(fc: FormContext, system: DeterminingSystem, key: JetKey, coeff: Callable[[RatFn], RatFn]) -> ExteriorForm:
+def mc_expansion(fc: FormContext, mcrel: MCRelationSet, key: JetKey) -> ExteriorForm:
     """mu^a_B in the basis Maurer-Cartan symbols: mu^a_B itself for a basis
-    jet; for a solved jet, the determining relation of zeta^a_B with each
-    zeta replaced by its mu and each coefficient mapped by ``coeff``."""
-    if not system.is_solved(key):
+    jet; for a solved jet, the lifted relation of ``mcrel``."""
+    if not mcrel.system.is_solved(key):
         return fc.one_form(fc.mc(key[0], key[1]))
     out: dict[Word, RatFn] = {}
-    for k2, c in system.relation(key).items():
-        c = coeff(c)
+    for k2, c in mcrel.relation(key).items():
         if c:
             out[(fc.mc(k2[0], k2[1]).sid,)] = c
     return ExteriorForm(fc, out)
 
 
-def restrict_to_pseudogroup(eqs: EquationSet, mcrel) -> EquationSet:
+def restrict_to_pseudogroup(eqs: EquationSet, mcrel: MCRelationSet) -> EquationSet:
     """Substitute solved Maurer-Cartan symbols by their lifted basis
     expressions in every equation."""
     fc = eqs.fc
-    system = mcrel.system
     mapping: dict[int, ExteriorForm] = {}
     for sid in set().union(*[rhs.symbols() for rhs in eqs.equations.values()]):
         key = fc.by_id(sid).key
-        if key is not None and system.is_solved(key):
-            mapping[sid] = mc_expansion(fc, system, key, mcrel.lift_coeff)
+        if key is not None and mcrel.system.is_solved(key):
+            mapping[sid] = mc_expansion(fc, mcrel, key)
     out = EquationSet(fc)
     for sym, rhs in eqs.items():
         out.set(sym, substitute(rhs, mapping))

@@ -39,7 +39,7 @@ from .jets import (
     mi_up_to,
     mi_zero,
 )
-from .pseudogroup import DeterminingSystem, JetKey, universal_generator
+from .pseudogroup import DeterminingSystem, JetKey, lift_system, universal_generator
 
 
 class CrossSectionError(ExactError):
@@ -138,7 +138,6 @@ class FrameState:
         self.resolved: dict[JetKey, tuple[ExteriorForm, int]] = {}
         self.blocked: list[BranchingRequired] = []
         self.residual_relations: list[ExteriorForm] = []
-        self.inv_order = 0
 
     def residual_keys(self, mc_order: int) -> list[JetKey]:
         """Basis Maurer-Cartan symbols up to mc_order left unresolved."""
@@ -177,6 +176,7 @@ class RecurrenceEngine:
         self.cs = cs
         self.fc = fc if fc is not None else FormContext(self.jc)
         self.generator = universal_generator(self.jc, self.system)
+        self.mc = lift_system(system, self.iota)
         self._mu_cache: dict[JetKey, ExteriorForm] = {}
         self._iota_cache: dict[int, tuple[Fraction, ExpKey]] = {}
         self._field_jet: dict[int, JetKey | bool] = {}
@@ -246,11 +246,11 @@ class RecurrenceEngine:
     # -- Maurer-Cartan expansion --------------------------------------------------
 
     def mu_form(self, key: JetKey) -> ExteriorForm:
-        """Basis expansion of mu^a_B, its coefficients evaluated on the
-        cross-section."""
+        """Basis expansion of mu^a_B through the lift ``self.mc``, its
+        coefficients evaluated on the cross-section."""
         got = self._mu_cache.get(key)
         if got is None:
-            got = self._mu_cache[key] = mc_expansion(self.fc, self.system, key, self.iota)
+            got = self._mu_cache[key] = mc_expansion(self.fc, self.mc, key)
         return got
 
     def horizontal(self, alpha: int, J: Counts) -> ExteriorForm:
@@ -393,7 +393,6 @@ class RecurrenceEngine:
             if not relations:
                 continue
             self._solve_stratum(state, relations, stratum, invertible)
-        state.inv_order = inv_order
         return state
 
     def _solve_stratum(self, state: FrameState, relations: list[ExteriorForm], stratum: int, invertible) -> None:
@@ -510,30 +509,30 @@ class RecurrenceEngine:
         return eqs.d_squared_audit(coeff_rule)
 
 
-def normalized_structure_equations(engine: RecurrenceEngine, state: FrameState, restricted: EquationSet) -> EquationSet:
-    """Pull back a restricted equation set by the frame: sigma^i -> omega^i,
-    sigma^{p+alpha} -> the horizontal part of d(u^alpha), resolved
-    Maurer-Cartan symbols -> their frame values, coefficients evaluated on the
-    cross-section.
+def normalized_structure_equations(engine: RecurrenceEngine, state: FrameState, eqs: EquationSet) -> EquationSet:
+    """Pull back structure equations of the diffeomorphism pseudo-group by the
+    frame, each in one substitution: sigma^i -> omega^i, sigma^{p+alpha} ->
+    the horizontal part of d(u^alpha), and each Maurer-Cartan symbol that the
+    determining system solves or the frame resolves -> its frame value.
 
-    Returns equations for d(omega^i) and for the restricted Maurer-Cartan
-    forms the frame leaves unresolved, in the order of ``restricted``."""
+    Returns equations for d(omega^i) and for the basis Maurer-Cartan forms the
+    frame leaves unresolved, in the order of ``eqs``."""
     fc = engine.fc
     p = engine.jc.p
-    sigma_map = {fc.sigma(i).sid: fc.one_form(fc.omega(i)) for i in range(p)}
+    mapping = {fc.sigma(i).sid: fc.one_form(fc.omega(i)) for i in range(p)}
     for alpha in range(engine.jc.q):
-        sigma_map[fc.sigma(p + alpha).sid] = engine.horizontal(alpha, mi_zero(p))
-
-    def resolve_symbols(form: ExteriorForm) -> ExteriorForm:
-        return state.reduce(substitute(form, sigma_map, coeff_sub=engine.iota))
-
+        mapping[fc.sigma(p + alpha).sid] = engine.horizontal(alpha, mi_zero(p))
+    for sid in set().union(*[rhs.symbols() for rhs in eqs.equations.values()]):
+        key = fc.by_id(sid).key
+        if key is not None and (key in state.resolved or engine.system.is_solved(key)):
+            mapping[sid] = state.mu_value(key)
     out = EquationSet(fc)
-    for sym, rhs in restricted.items():
+    for sym, rhs in eqs.items():
         if sym.kind == "sigma":
             if sym.index[0] < p:
-                out.set(fc.omega(sym.index[0]), resolve_symbols(rhs))
+                out.set(fc.omega(sym.index[0]), substitute(rhs, mapping))
         elif sym.key not in state.resolved:
-            out.set(sym, resolve_symbols(rhs))
+            out.set(sym, substitute(rhs, mapping))
     return out
 
 

@@ -64,7 +64,6 @@ class ProblemFile:
         self.print_aliases: dict[tuple[str, str], str] = {}
         self.tpoly: list[TPolyDecl] = []
         self.spoly: list[TPolyDecl] = []
-        self.source = ""
         # built objects (populated by parse_problem)
         self.jc: Optional[JetContext] = None
         self.system: Optional[DeterminingSystem] = None
@@ -90,7 +89,7 @@ class ProblemFile:
 
     @property
     def relation_count(self) -> int:
-        return len(self.system.lead_list) if self.system else 0
+        return len(self.system.original) if self.system else 0
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -112,9 +111,10 @@ class _Tokens:
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None or m.end() == pos:
-                chunk = text[pos:].strip()
-                if chunk:
-                    raise ParseError(f"unexpected character {chunk[0]!r}", line, pos)
+                bad = len(text) - len(text[pos:].lstrip())
+                if bad < len(text):
+                    line += text.count("\n", pos, bad)
+                    raise ParseError(f"unexpected character {text[bad]!r}", line, bad - text.rfind("\n", 0, bad))
                 break
             raw = text[pos : m.end()]
             line += raw.count("\n")
@@ -349,7 +349,6 @@ class _ExprParser:
 def parse_problem(text: str) -> ProblemFile:
     toks = _Tokens(text)
     pf = ProblemFile()
-    pf.source = text
     raw: dict[str, list] = {"det": [], "xsec": [], "tpoly": [], "spoly": []}
     # (line, col) of the base, split and coeffs statements and of each name
     # that base and coeffs list, for the declaration checks
@@ -621,10 +620,10 @@ def print_problem(pf: ProblemFile) -> str:
     if pf.coeffs:
         lines.append(f"coeffs {' '.join(pf.coeffs)};")
     jc, system, cs = pf.build()
-    if system is not None and system.lead_list:
+    if system is not None and system.original:
         lines.append("det {")
-        for lead in system.lead_list:
-            lines.append(f"  {jc.field_jet_name(*lead)} = {_lincomb_token(jc, system.original[lead])};")
+        for lead, rhs in system.original.items():
+            lines.append(f"  {jc.field_jet_name(*lead)} = {_lincomb_token(jc, rhs)};")
         lines.append("}")
     if cs is not None and (cs.entries or cs.patterns or cs.nonvanishing or cs.vanish_generators):
         lines.append("xsec {")

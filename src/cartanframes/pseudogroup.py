@@ -11,7 +11,7 @@ can be queried at any order without a completion pass.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exact import ExactError, Poly, RatFn, _add_term
 from .jets import (
@@ -52,7 +52,7 @@ class DeterminingSystem:
     base coordinates.
     """
 
-    def __init__(self, jc: JetContext, fields: Sequence[Field], order: int = 1):
+    def __init__(self, jc: JetContext, fields: Sequence[Field]):
         self.jc = jc
         self.fields = list(fields)
         self.m = len(fields)
@@ -60,9 +60,7 @@ class DeterminingSystem:
         for f in fields:
             if f.base != self.base_coords:
                 raise ExactError("all coefficient fields must share the same base")
-        self.order = order
         self.original: dict[JetKey, LinComb] = {}
-        self.lead_list: list[JetKey] = []
         self._reduced: dict[JetKey, LinComb] = {}
         self._in_progress: set[JetKey] = set()
 
@@ -73,15 +71,13 @@ class DeterminingSystem:
         if lead in self.original:
             raise ExactError(f"duplicate solved jet {lead}")
         self.original[lead] = rhs
-        self.lead_list.append(lead)
-        self.order = max(self.order, mi_order(lead[1]))
         self._reduced.clear()
 
     # -- solved-set structure ------------------------------------------------
 
     def lead_for(self, key: JetKey) -> Optional[JetKey]:
         """The first declared lead whose derivative cone contains ``key``."""
-        for lead in self.lead_list:
+        for lead in self.original:
             if lead[0] == key[0] and mi_divides(lead[1], key[1]):
                 return lead
         return None
@@ -185,7 +181,6 @@ class DeterminingSystem:
         """Materialize all relations up to order k (idempotent; returns self)."""
         for key in self.solved_jets(k):
             self.relation(key)
-        self.order = max(self.order, k)
         return self
 
 
@@ -196,29 +191,29 @@ class MCRelationSet:
     """Linear relations among Maurer-Cartan symbols obtained by the formal lift
     z -> iota(z), zeta^a_B -> mu^a_B of a determining system.
 
-    The relation data is shared with the source system; only the coefficient
-    variables change: each base coordinate is renamed to its invariantized
-    counterpart, a one-to-one relabelling (``RatFn.rename``).  The lift feeds
-    the restricted structure equations and the ``lift`` report; the
-    recurrence engine evaluates the system directly."""
+    The relation data is shared with the source system; only the coefficients
+    change, each mapped by ``lift_coeff``."""
 
-    def __init__(self, system: DeterminingSystem):
+    def __init__(self, system: DeterminingSystem, coeff: Callable[[RatFn], RatFn]):
         self.system = system
-        self.jc = system.jc
-        self._lift_map = {
-            self.jc.coord_var(coord).vid: self.jc.invariant_var(coord).vid for coord in system.base_coords
-        }
-
-    def lift_coeff(self, f: RatFn) -> RatFn:
-        return f.rename(self._lift_map)
+        self.lift_coeff = coeff
 
     def relation(self, key: JetKey) -> LinComb:
         """Lifted, fully reduced right side of a solved MC symbol."""
         return {k: self.lift_coeff(c) for k, c in self.system.relation(key).items()}
 
 
-def lift_system(system: DeterminingSystem) -> MCRelationSet:
-    return MCRelationSet(system)
+def lift_system(system: DeterminingSystem, coeff: Optional[Callable[[RatFn], RatFn]] = None) -> MCRelationSet:
+    """The lift of ``system`` with coefficient map ``coeff``.  By default each
+    base coordinate is renamed to its invariant, a one-to-one relabelling
+    (``RatFn.rename``) for the ``lift`` and ``structure`` reports; the
+    recurrence engine passes its ``iota``, which evaluates each coefficient
+    on the cross-section."""
+    if coeff is None:
+        jc = system.jc
+        lift_map = {jc.coord_var(coord).vid: jc.invariant_var(coord).vid for coord in system.base_coords}
+        return MCRelationSet(system, lambda f: f.rename(lift_map))
+    return MCRelationSet(system, coeff)
 
 
 # -- prolonged action ------------------------------------------------------------

@@ -1,11 +1,13 @@
 """One problem through the method's chain: determining system -> recurrence
 engine -> phantom normalization -> normalized coframe.
 
-The engine evaluates the determining system on the cross-section directly.
-The lift of the system (``Session.mc``) feeds only the restricted structure
-equations and the ``lift`` report.  The structure equations are built for
-the basis Maurer-Cartan forms only (``Session.restricted``), and the coframe
-keeps those the frame leaves free.
+The engine lifts the determining system with its own cross-section
+evaluation (``RecurrenceEngine.mc``).  The coframe pulls the structure
+equations of the basis Maurer-Cartan forms back by the frame, one
+substitution per equation, and keeps those the frame leaves free.  The lift
+as a relabelling (``Session.mc``) feeds only the restricted structure
+equations of the ``structure`` report (``Session.restricted``) and the
+``lift`` report.
 
 Each stage is built on first use and kept, so a caller pays only for the
 stages it reads::
@@ -21,9 +23,8 @@ from functools import cached_property
 
 from .exterior import EquationSet, FormContext, diffeo_structure_equations, restrict_to_pseudogroup
 from .frames import CrossSection, FrameState, RecurrenceEngine, normalized_structure_equations
-from .jets import JetContext
 from .problem import ProblemFile, parse_problem
-from .pseudogroup import DeterminingSystem, MCRelationSet, lift_system
+from .pseudogroup import MCRelationSet, lift_system
 
 
 class Session:
@@ -34,6 +35,7 @@ class Session:
         self.pf = pf
         self.order = order
         self.mc_order = mc_order
+        self.jc, self.system, self.cs = pf.build()
 
     @classmethod
     def load(cls, path, order: int = 3, mc_order: int = 2) -> "Session":
@@ -41,25 +43,8 @@ class Session:
             return cls(parse_problem(handle.read()), order, mc_order)
 
     @cached_property
-    def _built(self):
-        """(jet context, determining system, cross-section) of the problem."""
-        return self.pf.build()
-
-    @property
-    def jc(self) -> JetContext:
-        return self._built[0]
-
-    @property
-    def system(self) -> DeterminingSystem:
-        return self._built[1]
-
-    @property
-    def cs(self) -> CrossSection:
-        return self._built[2]
-
-    @cached_property
     def mc(self) -> MCRelationSet:
-        """The lift, for the restricted structure equations and ``lift``."""
+        """The lift as a relabelling, for ``restricted`` and ``lift``."""
         return lift_system(self.system)
 
     @cached_property
@@ -95,4 +80,5 @@ class Session:
     def coframe(self) -> EquationSet:
         """Structure equations of the normalized invariant coframe and of the
         Maurer-Cartan forms up to ``mc_order`` that the frame leaves free."""
-        return normalized_structure_equations(self.engine, self.state, self.restricted)
+        eqs = diffeo_structure_equations(self.fc, self.system, self.mc_order + 1)
+        return normalized_structure_equations(self.engine, self.state, eqs)

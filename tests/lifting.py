@@ -18,6 +18,6 @@ def relation_one_step(mc: MCRelationSet, key: JetKey) -> Optional[LinComb]:
 def unlift(mc: MCRelationSet, key: JetKey, lc: LinComb) -> tuple[LinComb, LinComb]:
     """Rename iota(z) -> z, mu -> zeta: returns (lhs, rhs) determining
     relation for consistency checks."""
-    jc = mc.jc
+    jc = mc.system.jc
     unmap = {jc.invariant_var(coord).vid: jc.coord_var(coord).vid for coord in mc.system.base_coords}
     return {key: jc.ratfn(1)}, {k: c.rename(unmap) for k, c in lc.items()}

@@ -1,9 +1,10 @@
 """The hot path kernels against the straightforward algorithms they replaced:
 the total derivative as a sum over variables of ``partial(f, v) * D_i(v)``,
 invariantization as a product of ``RatFn``s, the product by a constant
-through the full gcd normalization, and the structure equations, the
+through the full gcd normalization, the structure equations, the
 pull-back, the restriction to a pseudo-group and the exterior derivative as
-sums of wedges."""
+sums of wedges, and the normalized coframe as restriction by the relabelling
+lift followed by evaluation on the cross-section."""
 
 import itertools
 from fractions import Fraction
@@ -22,10 +23,10 @@ from cartanframes.exterior import (
     restrict_to_pseudogroup,
     substitute,
 )
-from cartanframes.frames import CrossSection, RecurrenceEngine
+from cartanframes.frames import CrossSection, RecurrenceEngine, normalized_structure_equations
 from cartanframes.jets import JetContext, mi_bump, mi_factorial, mi_up_to, mi_zero
 from cartanframes.pseudogroup import lift_system
-from conftest import diffeo_system, session
+from conftest import PROBLEMS, diffeo_system, session
 
 
 def oracle_total_derivative(jc, f: Poly, i: int) -> Poly:
@@ -426,6 +427,71 @@ def test_point_structure_order_5_builds_only_the_kept_equations():
     s = session("point")
     assert len(diffeo_structure_equations(s.fc, s.system, 5).equations) == 34
     assert len(oracle_diffeo_structure_equations(_oracle_fc(s), s.system.m, 5).equations) == 284
+
+
+def oracle_normalized_structure_equations(engine, state, restricted):
+    """The coframe in three passes: the equations restricted by the
+    relabelling lift, their coefficients evaluated on the cross-section and
+    the sigma forms substituted, then resolved symbols chased to a fixed point
+    by ``FrameState.reduce``."""
+    fc = engine.fc
+    p = engine.jc.p
+    sigma_map = {fc.sigma(i).sid: fc.one_form(fc.omega(i)) for i in range(p)}
+    for alpha in range(engine.jc.q):
+        sigma_map[fc.sigma(p + alpha).sid] = engine.horizontal(alpha, mi_zero(p))
+
+    def pull_back(form):
+        on_section = {w: engine.iota(c) for w, c in form.terms.items()}
+        form = ExteriorForm(fc, {w: c for w, c in on_section.items() if c})
+        return state.reduce(substitute(form, sigma_map))
+
+    out = EquationSet(fc)
+    for sym, rhs in restricted.items():
+        if sym.kind == "sigma":
+            if sym.index[0] < p:
+                out.set(fc.omega(sym.index[0]), pull_back(rhs))
+        elif sym.key not in state.resolved:
+            out.set(sym, pull_back(rhs))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.prob")))
+def test_coframe_matches_the_restrict_then_evaluate_oracle(name):
+    """One substitution through the engine's lift gives, equation by
+    equation and word by word, what restricting by the relabelling lift,
+    evaluating on the cross-section and reducing give, on every shipped
+    problem, the four whose default coframe audit exits 2 included."""
+    for order, mc_order in [(3, 2), (4, 2), (5, 2), (5, 3)]:
+        s = session(name, order, mc_order)
+        got = s.coframe
+        want = oracle_normalized_structure_equations(s.engine, s.state, s.restricted)
+        assert _equations(got) == _equations(want), (order, mc_order)
+
+
+def test_coframe_pulls_back_each_equation_in_one_substitution(monkeypatch):
+    """The coframe reads neither the relabelling lift nor the restricted
+    equations, and each of its equations is the result of one substitution
+    into a structure equation, with nothing reduced after it."""
+    import cartanframes.frames
+    import cartanframes.session
+
+    monkeypatch.setattr(cartanframes.session, "lift_system", _fail)
+    monkeypatch.setattr(cartanframes.session, "restrict_to_pseudogroup", _fail)
+    s = session("point_branch4", 5, 3)
+    s.coframe
+    eqs = diffeo_structure_equations(s.fc, s.system, 4)
+    pulled = []
+
+    def tracked(form, mapping):
+        out = substitute(form, mapping)
+        if any(form is rhs for rhs in eqs.equations.values()):
+            pulled.append(out)
+        return out
+
+    monkeypatch.setattr(cartanframes.frames, "substitute", tracked)
+    got = normalized_structure_equations(s.engine, s.state, eqs)
+    assert len(pulled) == len(got.equations) == 8
+    assert all(any(rhs is out for out in pulled) for rhs in got.equations.values())
 
 
 def test_substitute_copies_the_words_it_does_not_touch(monkeypatch):

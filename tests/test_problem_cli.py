@@ -151,6 +151,21 @@ def test_cli_normalize_point_order0():
     assert "frame.nu_X2 = -Q_X*w^x - Q_U*w^u - Q_P*w^p" in out
 
 
+def test_cli_normalize_reports_a_residual_relation(tmp_path):
+    """A phantom relation left with no Maurer-Cartan symbol after the solve
+    is reported as a residual relation; normalize still exits 0."""
+    prob = tmp_path / "residual.prob"
+    prob.write_text("base x u;\nsplit independent x dependent u;\ncoeffs xi eta;\ndet { eta = 0; }\nxsec { u = 0; }\n")
+    code, out = _run_cli("run", str(prob), "normalize", "--order", "1")
+    assert code == 0
+    assert out == (
+        "report.command = normalize\n"
+        "frame.residual = mu^x, mu^x_X, mu^x_U\n"
+        "frame.residual_relation = -U_X*w^x\n"
+        "digest = sha256:ac6f5a14c7df5330d8703ad6ea271ede41c94336e4cd8f498f54d9442de27e68\n"
+    )
+
+
 def test_cli_structure_empty_problem():
     code, out = _run_cli("run", str(PROBLEMS / "empty.prob"), "structure", "--order", "1")
     assert code == 0
@@ -188,6 +203,10 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         (plain, "coeffs xi eta;\ndet { xi = eta^2; }\n", "4:15: cannot exponentiate a field-jet expression in the relation for xi"),
         (plain, "coeffs xi eta;\ndet { xi = 0; xi = eta; }\n", "4:16: duplicate relation for xi"),
         (plain, "coeffs xi eta;\ndet { xi_x = eta; xi_x = 0; }\n", "4:20: duplicate relation for xi_x"),
+        # A character no token starts with is reported at its own line and
+        # column, past any blank lines and spaces before it.
+        (plain, "coeffs xi eta; $\n", "3:16: unexpected character '$'"),
+        (plain, "coeffs xi eta;\ndet { xi = 0; }\n\n@\n", "6:1: unexpected character '@'"),
     ]:
         bad = tmp_path / "bad.prob"
         bad.write_text(head + body)
@@ -484,7 +503,11 @@ def test_cli_missing_required_option_is_a_usage_error(capsys, argv, message):
 
 @pytest.mark.parametrize(
     "rhs, message",
-    [("p^4 + zz", "--rhs:1:8: unknown symbol 'zz'"), ("p^4 p", "--rhs:1:5: trailing token 'p'")],
+    [
+        ("p^4 + zz", "--rhs:1:8: unknown symbol 'zz'"),
+        ("p^4 p", "--rhs:1:5: trailing token 'p'"),
+        ("p^4 + $x", "--rhs:1:7: unexpected character '$'"),
+    ],
 )
 def test_cli_rhs_parse_error_is_located_in_the_option(capsys, rhs, message):
     code, out = _run_cli("run", str(PROBLEMS / "point.prob"), "classify-ode", "--rhs", rhs)

@@ -38,18 +38,18 @@ def test_trivial_system_stays_trivial():
     pf = load_problem("empty")
     jc, system, cs = pf.build()
     system.prolong(3)
-    assert not system.lead_list
+    assert not system.original
     assert len(system.basis_jets(1)) == 2 * 3  # two fields, multi-indices <= 1 over m=2
 
 
 def test_point_adds_first_order_leads():
     pf = load_problem("point")
     jc, system, cs = pf.build()
-    leads = set(system.lead_list)
+    leads = set(system.original)
     assert (0, (0, 0, 1, 0)) in leads  # xi_p
     assert (1, (0, 0, 1, 0)) in leads  # eta_p
     contact = load_problem("contact").build()[1]
-    assert (0, (0, 0, 1, 0)) not in set(contact.lead_list)
+    assert (0, (0, 0, 1, 0)) not in contact.original
 
 
 def test_projection_compatibility(contact):
@@ -143,7 +143,7 @@ def test_lift_identity_substitution(contact):
     """Substituting Z -> z, mu -> zeta recovers the determining relation."""
     pf, jc, system = contact
     mc = lift_system(system)
-    for lead in system.lead_list:
+    for lead in system.original:
         lhs, rhs = unlift(mc, lead, mc.relation(lead))
         expect = system.relation(lead)
         assert {k: format_ratfn(v) for k, v in rhs.items()} == {
