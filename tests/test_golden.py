@@ -23,8 +23,8 @@ TESTS = pathlib.Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 SCRIPTS_DIR = TESTS.parent / "scripts"
 
-# The structure and lift inputs of the benchmark's algebra workload, and the
-# deep coframe and normalize runs.
+# The structure and lift inputs of the benchmark's algebra workload, the deep
+# coframe and normalize runs, and the frame-path cartan-test above order 1.
 DEEP = [
     ("point", "structure", ["--order", "5"]),
     ("contact", "structure", ["--order", "4"]),
@@ -39,6 +39,10 @@ DEEP = [
     ("contact", "normalize", ["--order", "10"]),
     ("point_branch1", "coframe", ["--order", "9", "--mc-order", "5"]),
     ("point_branch4", "coframe", ["--order", "7", "--mc-order", "3"]),
+    ("contact", "cartan-test", ["--order", "2"]),
+    ("contact", "cartan-test", ["--order", "3"]),
+    ("point_branch1", "cartan-test", ["--order", "3"]),
+    ("contact", "cartan-test", ["--order", "6"]),
 ]
 # Every shipped problem at the CLI defaults.
 DEFAULTS = [
