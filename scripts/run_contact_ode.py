@@ -30,7 +30,7 @@ def main():
     print()
     print("== order-1 isotropy annihilator polynomials ==")
     names = fr.jc.independents + fr.jc.dependents
-    for poly in isotropy_annihilator(fr.engine, fr.state, 1):
+    for poly in isotropy_annihilator(fr.engine, 1):
         print(f"  {poly.pretty(names)}")
 
 

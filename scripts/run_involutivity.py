@@ -47,8 +47,8 @@ def run(label, gens, m, names, char_m):
 
 
 def main():
-    fr = Session.load(PROBLEMS / "contact.prob", order=4, mc_order=2)
-    polys = isotropy_annihilator(fr.engine, fr.state, 1)
+    fr = Session.load(PROBLEMS / "contact.prob")
+    polys = isotropy_annihilator(fr.engine, 1)
     names = fr.jc.independents + fr.jc.dependents
     run("contact equivalence of second order ODEs", polys, 4, names, 4)
 

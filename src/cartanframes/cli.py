@@ -104,13 +104,12 @@ def cmd_normalize(pf: ProblemFile, args, report: Report) -> int:
     session = Session(pf, order)
     state, fc = session.state, session.fc
     for key in sorted(state.resolved, key=lambda k: (mi_order(k[1]), k[0], k[1])):
-        value, stratum = state.resolved[key]
-        report.add(f"frame.{fc.mc(key[0], key[1]).name}", state.reduce(value).pretty())
+        report.add(f"frame.{fc.mc(key[0], key[1]).name}", state.reduce(state.resolved[key]).pretty())
     mc_order = max(order - 2, 1)
     residual = state.residual_keys(mc_order)
     report.add("frame.residual", ", ".join(fc.mc(k[0], k[1]).name for k in residual) or "none")
-    for item in state.blocked:
-        report.add("frame.branching_required", ", ".join(item.blockers))
+    for blockers in state.blocked:
+        report.add("frame.branching_required", ", ".join(blockers))
     for form in state.residual_relations:
         report.add("frame.residual_relation", form.pretty())
     return 0
@@ -159,8 +158,7 @@ def cmd_cartan_test(pf: ProblemFile, args, report: Report) -> int:
     if pf.tpoly:
         gens = pf.module_generators("t")
     else:
-        session = Session(pf, max(n + 2, 3))
-        gens = isotropy_annihilator(session.engine, session.state, n)
+        gens = isotropy_annihilator(Session(pf).engine, n)
     comp = t_homogeneous_component(gens, m, n)
     if not comp:
         report.add("cartan.verdict", "empty degree component")

@@ -119,34 +119,26 @@ class CrossSection:
             last = max(last, order)
 
 
-class BranchingRequired:
-    """A pivot was blocked by a symbolic coefficient: the user must declare the
-    listed invariants nonvanishing or identically zero and re-run."""
-
-    def __init__(self, blockers: list[str]):
-        self.blockers = blockers
-
-    def __repr__(self):
-        return f"BranchingRequired({', '.join(self.blockers)})"
-
-
 class FrameState:
-    """Resolved Maurer-Cartan expressions from a (partial) moving frame."""
+    """Resolved Maurer-Cartan expressions from a (partial) moving frame.
+
+    ``blocked`` holds, per stratum with a blocked pivot, the sorted names of
+    the invariants whose symbolic coefficients blocked it: the user must
+    declare them nonvanishing or identically zero and re-run."""
 
     def __init__(self, engine: "RecurrenceEngine"):
         self.engine = engine
-        self.resolved: dict[JetKey, tuple[ExteriorForm, int]] = {}
-        self.blocked: list[BranchingRequired] = []
+        self.resolved: dict[JetKey, ExteriorForm] = {}
+        self.blocked: list[list[str]] = []
         self.residual_relations: list[ExteriorForm] = []
 
     def residual_keys(self, mc_order: int) -> list[JetKey]:
         """Basis Maurer-Cartan symbols up to mc_order left unresolved."""
         return [key for key in self.engine.system.basis_jets(mc_order) if key not in self.resolved]
 
-    def reduce(self, form: ExteriorForm, max_stratum: Optional[int] = None) -> ExteriorForm:
-        """Substitute resolved basis Maurer-Cartan symbols (of strata up to
-        ``max_stratum``, if given) into a form, chasing chains of resolutions
-        to a fixed point.
+    def reduce(self, form: ExteriorForm) -> ExteriorForm:
+        """Substitute resolved basis Maurer-Cartan symbols into a form,
+        chasing chains of resolutions to a fixed point.
 
         Values are stored as solved within their stratum, so an early value may
         mention a symbol that a later stratum resolves; iteration (which always
@@ -156,15 +148,15 @@ class FrameState:
             mapping = {}
             for sid in form.symbols():
                 got = self.resolved.get(fc.by_id(sid).key)
-                if got is not None and (max_stratum is None or got[1] <= max_stratum):
-                    mapping[sid] = got[0]
+                if got is not None:
+                    mapping[sid] = got
             if not mapping:
                 return form
             form = substitute(form, mapping)
 
-    def mu_value(self, key: JetKey, max_stratum: Optional[int] = None) -> ExteriorForm:
+    def mu_value(self, key: JetKey) -> ExteriorForm:
         """Frame value of any Maurer-Cartan symbol (basis or solved)."""
-        return self.reduce(self.engine.mu_form(key), max_stratum)
+        return self.reduce(self.engine.mu_form(key))
 
 
 class RecurrenceEngine:
@@ -392,10 +384,10 @@ class RecurrenceEngine:
                     relations.append(form)
             if not relations:
                 continue
-            self._solve_stratum(state, relations, stratum, invertible)
+            self._solve_stratum(state, relations, invertible)
         return state
 
-    def _solve_stratum(self, state: FrameState, relations: list[ExteriorForm], stratum: int, invertible) -> None:
+    def _solve_stratum(self, state: FrameState, relations: list[ExteriorForm], invertible) -> None:
         fc = self.fc
 
         def max_mc_order(form: ExteriorForm) -> int:
@@ -439,13 +431,12 @@ class RecurrenceEngine:
             value = omega_value
             for other, coeff in coeffs.items():
                 value = value + self.mu_form(other).scale(coeff)
-            value = state.reduce(value)
-            state.resolved[key] = (value, stratum)
+            state.resolved[key] = state.reduce(value)
         if result.blocked:
             names = []
             for label, blocker in result.blocked:
                 names.extend(self.jc.ctx.var_by_id(v).name for v in sorted(blocker.variables()))
-            state.blocked.append(BranchingRequired(sorted(set(names))))
+            state.blocked.append(sorted(set(names)))
         for coeffs, leftover in result.residual:
             if coeffs:
                 continue
@@ -564,18 +555,19 @@ def commutator_invariants(engine: RecurrenceEngine, eqs: EquationSet):
 # -- isotropy annihilator polynomials --------------------------------------------------
 
 
-def isotropy_annihilator(engine: RecurrenceEngine, state: FrameState, n: int):
+def isotropy_annihilator(engine: RecurrenceEngine, n: int):
     """Isotropy annihilator polynomials of order <= n in the classical
     presentation: the point-evaluated determining relations together with the
     frame values of the Maurer-Cartan symbols, keeping only polynomials of
     degree <= n.
 
-    Frame values use only the resolutions produced by phantoms of subject
-    order <= n-1, which keeps the generating set minimal; the closure under
-    multiplication enters separately through prolongation when the Cartan
-    test is run.
+    Frame values come from the partial frame that the phantoms of subject
+    order <= n-1 fix (later strata never change an earlier stratum's values),
+    which keeps the generating set minimal; the closure under multiplication
+    enters separately through prolongation when the Cartan test is run.
     """
     m = engine.system.m
+    state = engine.normalize(n - 1)
     out: list[TPoly] = []
     seen: set = set()
 
@@ -593,7 +585,7 @@ def isotropy_annihilator(engine: RecurrenceEngine, state: FrameState, n: int):
         emit(poly)
     for a in range(m):
         for B in mi_up_to(m, n):
-            poly = _frame_value_tpoly(engine, (a, B), state.mu_value((a, B), max_stratum=n - 1))
+            poly = _frame_value_tpoly(engine, (a, B), state.mu_value((a, B)))
             if poly is not None:
                 emit(poly)
     return out

@@ -171,11 +171,11 @@ def test_criterion_4_normalization(point_order0, point_branch4, contact_frame):
     fr = point_order0
     w = lambda i: fr.fc.one_form(fr.fc.omega(i))
     st = fr.state
-    ok &= st.resolved[(0, (0, 0, 0, 0))][0] == -w(0)
-    ok &= st.resolved[(1, (0, 0, 0, 0))][0] == -w(1)
-    ok &= st.resolved[(1, (1, 0, 0, 0))][0] == -w(2)
+    ok &= st.resolved[(0, (0, 0, 0, 0))] == -w(0)
+    ok &= st.resolved[(1, (0, 0, 0, 0))] == -w(1)
+    ok &= st.resolved[(1, (1, 0, 0, 0))] == -w(2)
     inv = lambda c: fr.jc.rvar(fr.jc.invariant_var(("u", 0, c)))
-    ok &= st.resolved[(1, (2, 0, 0, 0))][0] == -(
+    ok &= st.resolved[(1, (2, 0, 0, 0))] == -(
         w(0).scale(inv((1, 0, 0))) + w(1).scale(inv((0, 1, 0))) + w(2).scale(inv((0, 0, 1)))
     )
     ok &= point_branch4.state.residual_keys(3) == [
@@ -259,7 +259,7 @@ def test_criterion_5_coframe_equations(point_branch1, point_branch4, contact_fra
 
 def test_criterion_6_involutivity_numbers(contact_frame):
     ok = True
-    polys = isotropy_annihilator(contact_frame.engine, contact_frame.state, 1)
+    polys = isotropy_annihilator(contact_frame.engine, 1)
     gens = t_homogeneous_component(polys, 4, 1)
     priority = [1, 2, 0, 3]
     beta = indices(gens, 1, priority)

@@ -90,7 +90,7 @@ def test_involutive_coframe_equations(contact_frame):
 
 
 def test_isotropy_annihilator_matches_printed_span(contact_frame):
-    polys = isotropy_annihilator(contact_frame.engine, contact_frame.state, 1)
+    polys = isotropy_annihilator(contact_frame.engine, 1)
     assert t_span_equal(polys, PRINTED_TWELVE)
 
 
@@ -113,7 +113,7 @@ def test_symbol_matrix_layout(contact_frame):
 
 
 def test_cartan_numbers_from_engine(contact_frame):
-    polys = isotropy_annihilator(contact_frame.engine, contact_frame.state, 1)
+    polys = isotropy_annihilator(contact_frame.engine, 1)
     gens = t_homogeneous_component(polys, 4, 1)
     priority = [U, P, X, QV]
     beta = indices(gens, 1, priority)

@@ -76,11 +76,11 @@ def test_order0_normalization(point_order0):
     """Phantom solving of X = U = P = Q = 0."""
     fr = point_order0
     state = fr.state
-    assert state.resolved[(MU, Z4)][0] == -_w(fr, 0)
-    assert state.resolved[(NU, Z4)][0] == -_w(fr, 1)
-    assert state.resolved[(NU, EX)][0] == -_w(fr, 2)
+    assert state.resolved[(MU, Z4)] == -_w(fr, 0)
+    assert state.resolved[(NU, Z4)] == -_w(fr, 1)
+    assert state.resolved[(NU, EX)] == -_w(fr, 2)
     QX, QU, QP = (_inv(fr, c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert state.resolved[(NU, EXX)][0] == -(
+    assert state.resolved[(NU, EXX)] == -(
         _w(fr, 0).scale(QX) + _w(fr, 1).scale(QU) + _w(fr, 2).scale(QP)
     )
     assert not state.blocked
@@ -92,7 +92,7 @@ def test_order0_normalization(point_order0):
 def test_universal_mc_normalizations(point_universal):
     fr = point_universal
     state = fr.state
-    got = {key: state.resolved[key][0] for key in state.resolved}
+    got = state.resolved
     QP4 = _inv(fr, (0, 0, 4))
     QP2X2 = _inv(fr, (2, 0, 2))
     QP4X = _inv(fr, (1, 0, 4))
@@ -123,7 +123,7 @@ def test_branching_report_names_blocking_invariant():
     s = session("point")
     s.cs.normalize_coord(("u", 0, (0, 0, 5)), 0)
     state = s.engine.normalize(5)
-    names = {name for item in state.blocked for name in item.blockers}
+    names = {name for blockers in state.blocked for name in blockers}
     assert "Q_P4" in names
 
 
