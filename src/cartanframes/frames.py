@@ -132,6 +132,24 @@ class FrameState:
         self.blocked: list[list[str]] = []
         self.residual_relations: list[ExteriorForm] = []
 
+    def require_complete(self) -> None:
+        """Raise CrossSectionError unless every phantom relation was solved.
+
+        A phantom relation that no Maurer-Cartan symbol absorbs is an equation
+        among the invariant horizontal forms.  With a constant coefficient on
+        some w^i it holds on no submanifold jet: the cross-section is
+        unreachable.  With invariant coefficients only, like a blocked pivot,
+        it holds only where those invariants vanish: a branch to declare."""
+        names = {name for blockers in self.blocked for name in blockers}
+        for form in self.residual_relations:
+            if any(c.is_constant() for c in form.terms.values()):
+                raise CrossSectionError(f"unreachable cross-section: phantom relation {form.pretty()} = 0")
+            names.update(self.engine.jc.ctx.var_by_id(v).name for c in form.terms.values() for v in c.variables())
+        if names:
+            raise CrossSectionError(
+                f"undeclared branch on {', '.join(sorted(names))}: declare each with assume <coordinate> != 0 or == 0 in xsec"
+            )
+
     def residual_keys(self, mc_order: int) -> list[JetKey]:
         """Basis Maurer-Cartan symbols up to mc_order left unresolved."""
         return [key for key in self.engine.system.basis_jets(mc_order) if key not in self.resolved]

@@ -285,16 +285,13 @@ class InfinitesimalGenerator:
         self.jc = jc
         self.xi = list(xi)
         self.phi = list(phi)
+        # Q^alpha = phi_alpha - sum_i xi^i u^alpha_i
         self._characteristic = []
         for alpha in range(jc.q):
             qa = self.phi[alpha]
             for i in range(jc.p):
                 qa = qa - self.xi[i] * jc.pvar(jc.u_var(alpha, mi_bump(mi_zero(jc.p), i)))
             self._characteristic.append(qa)
-
-    def characteristic(self) -> list[Poly]:
-        """Q^alpha = phi_alpha - sum_i xi^i u^alpha_i."""
-        return self._characteristic
 
     def prolong(self, alpha: int, J: Counts, survives=_keep_every_term) -> Poly:
         """Coefficient phi^J_alpha = D_J Q^alpha + sum_i xi^i u^alpha_{J,i},

@@ -7,7 +7,8 @@ equations of the basis Maurer-Cartan forms back by the frame, one
 substitution per equation, and keeps those the frame leaves free.  The lift
 as a relabelling (``Session.mc``) feeds only the restricted structure
 equations of the ``structure`` report (``Session.restricted``) and the
-``lift`` report.
+``lift`` report.  The Cartan test reads only ``engine``: the isotropy
+annihilator of order n normalizes its own frame to order n - 1.
 
 Each stage is built on first use and kept, so a caller pays only for the
 stages it reads::
@@ -79,6 +80,9 @@ class Session:
     @cached_property
     def coframe(self) -> EquationSet:
         """Structure equations of the normalized invariant coframe and of the
-        Maurer-Cartan forms up to ``mc_order`` that the frame leaves free."""
+        Maurer-Cartan forms up to ``mc_order`` that the frame leaves free;
+        CrossSectionError for a frame with an undeclared branch or an
+        unreachable cross-section."""
+        self.state.require_complete()
         eqs = diffeo_structure_equations(self.fc, self.system, self.mc_order + 1)
         return normalized_structure_equations(self.engine, self.state, eqs)

@@ -52,7 +52,7 @@ def pstar_basis(engine: RecurrenceEngine, n: int):
     out = []
     for i in range(jc.p):
         out.append(TPoly(m, {(mi_zero(m), i): Q(1)}))
-    char = engine.generator.characteristic()
+    char = engine.generator._characteristic
     for alpha in range(jc.q):
         poly = _field_linear_to_tpoly(engine, char[alpha])
         if poly is not None and not poly.is_zero():

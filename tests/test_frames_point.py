@@ -178,6 +178,20 @@ def test_declared_nonvanishing_invariant_unblocks_its_pivot(tmp_path, capsys):
     assert not any(line.startswith("frame.mu_U =") for line in lines)
 
 
+def test_undeclared_branch_stops_the_coframe(tmp_path, capsys):
+    """Without ``assume q_p4 != 0`` the blocked pivot is a branch the user
+    must declare: coframe names Q_P4 in one error line and exits 1, instead
+    of failing the d^2 audit on the unresolved forms (exit 2)."""
+    from cartanframes import cli
+
+    path = tmp_path / "branch1.prob"
+    path.write_text(UNSCALED_BRANCH1.replace("  assume q_p4 != 0;\n", ""))
+    assert cli.main(["run", str(path), "coframe", "--order", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: undeclared branch on Q_P4: declare each with assume <coordinate> != 0 or == 0 in xsec\n"
+
+
 def test_order45_recurrence_display(point_universal):
     """All eight printed fourth/fifth-order reduced recurrence relations."""
     fr = point_universal

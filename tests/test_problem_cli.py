@@ -166,6 +166,34 @@ def test_cli_normalize_reports_a_residual_relation(tmp_path):
     )
 
 
+def test_cli_coframe_rejects_an_unreachable_cross_section(tmp_path, capsys):
+    """The trivial pseudo-group cannot move x to 0: the phantom relation
+    w^x = 0 has a constant coefficient, so coframe stops with the relation
+    (exit 1) while normalize still reports the frame (exit 0)."""
+    prob = tmp_path / "unreachable.prob"
+    prob.write_text("base x u; split independent x dependent u; coeffs xi eta;\ndet { xi = 0; eta = 0; }\nxsec { x = 0; u = 0; u_x = 1; }\n")
+    from cartanframes import cli
+
+    assert cli.main(["run", str(prob), "coframe"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: unreachable cross-section: phantom relation -w^x = 0\n")
+    assert cli.main(["run", str(prob), "normalize"]) == 0
+    assert "frame.residual_relation = -w^x\n" in capsys.readouterr().out
+
+
+def test_cli_coframe_names_the_invariants_of_a_residual_relation(tmp_path, capsys):
+    """The residual relation U_X*w^x = 0 holds only where U_X vanishes: a
+    branch to declare, named in one error line (exit 1)."""
+    prob = tmp_path / "residual.prob"
+    prob.write_text("base x u;\nsplit independent x dependent u;\ncoeffs xi eta;\ndet { eta = 0; }\nxsec { u = 0; }\n")
+    from cartanframes import cli
+
+    assert cli.main(["run", str(prob), "coframe", "--order", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: undeclared branch on U_X: declare each with assume <coordinate> != 0 or == 0 in xsec\n"
+
+
 def test_cli_structure_empty_problem():
     code, out = _run_cli("run", str(PROBLEMS / "empty.prob"), "structure", "--order", "1")
     assert code == 0

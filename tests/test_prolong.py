@@ -32,7 +32,7 @@ def iterated_derivative(jc, f, J):
 def unpruned_prolong(generator, alpha, J):
     """phi^J_alpha = D_J Q^alpha + sum_i xi^i u^alpha_{J,i}, every term built."""
     jc = generator.jc
-    total = iterated_derivative(jc, generator.characteristic()[alpha], J)
+    total = iterated_derivative(jc, generator._characteristic[alpha], J)
     for i in range(jc.p):
         total = total + generator.xi[i] * jc.pvar(jc.u_var(alpha, mi_bump(J, i)))
     return total

@@ -194,14 +194,14 @@ def test_characteristic_examples():
     jc = JetContext(["x"], ["u"])
     ux = jc.pvar(jc.u_var(0, (1,)))
     v_u = InfinitesimalGenerator(jc, [jc.poly(0)], [jc.poly(1)])
-    assert v_u.characteristic()[0] == jc.poly(1)
+    assert v_u._characteristic[0] == jc.poly(1)
     v_x = InfinitesimalGenerator(jc, [jc.poly(1)], [jc.poly(0)])
-    assert v_x.characteristic()[0] == -ux
+    assert v_x._characteristic[0] == -ux
     base = [coord_x(0), coord_u(0, (0,))]
     xi = jc.pvar(jc.field_var(jc.field("xi", base), (0, 0)))
     eta = jc.pvar(jc.field_var(jc.field("eta", base), (0, 0)))
     v = InfinitesimalGenerator(jc, [xi], [eta])
-    assert v.characteristic()[0] == eta - xi * ux
+    assert v._characteristic[0] == eta - xi * ux
 
 
 def test_prolong_generator_first_and_second_order():
