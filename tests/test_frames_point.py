@@ -180,8 +180,9 @@ def test_declared_nonvanishing_invariant_unblocks_its_pivot(tmp_path, capsys):
 
 def test_undeclared_branch_stops_the_coframe(tmp_path, capsys):
     """Without ``assume q_p4 != 0`` the blocked pivot is a branch the user
-    must declare: coframe names Q_P4 in one error line and exits 1, instead
-    of failing the d^2 audit on the unresolved forms (exit 2)."""
+    must declare: coframe names Q_P4 in one error line and exits 1, before a
+    d^2 audit of the unresolved forms could read as an internal
+    inconsistency (exit 2)."""
     from cartanframes import cli
 
     path = tmp_path / "branch1.prob"
