@@ -63,8 +63,9 @@ DEFAULTS = [
 EXIT_2 = {"point", "point_branch1", "point_branch4", "contact_asprinted"}
 # (golden name, command line): the canonical print of every shipped problem,
 # and the commands whose inputs are not the shipped problems at CLI flags
-# alone.  spoly0.prob and tpoly0.prob are the benchmark's seed-1 groebner and
-# cartan-test inputs; tpoly6.prob is a six-variable cartan-test input.
+# alone.  spoly0.prob, spoly3.prob and tpoly0.prob are the benchmark's seed-1
+# groebner and cartan-test inputs (spoly3 completes to a 10-element basis);
+# tpoly6.prob is a six-variable cartan-test input.
 OTHER = [(f"{p.stem}_print", ["print", str(p)]) for p in sorted(PROBLEMS.glob("*.prob"))] + [
     ("point_classify-ode_rhs", ["run", str(PROBLEMS / "point.prob"), "classify-ode", "--rhs", "p^4 + x*p"]),
     ("twoform_case1_cartan-test_m_3", ["run", str(PROBLEMS / "twoform_case1.prob"), "cartan-test", "--m", "3"]),
@@ -76,7 +77,7 @@ OTHER = [(f"{p.stem}_print", ["print", str(p)]) for p in sorted(PROBLEMS.glob("*
         )
         for which in ("equal", "distinct")
     ),
-    ("spoly0_groebner", ["run", str(TESTS / "spoly0.prob"), "groebner"]),
+    *((f"{s}_groebner", ["run", str(TESTS / f"{s}.prob"), "groebner"]) for s in ("spoly0", "spoly3")),
     *((f"{t}_cartan-test_order_2", ["run", str(TESTS / f"{t}.prob"), "cartan-test", "--order", "2"]) for t in ("tpoly0", "tpoly6")),
 ]
 # The walkthrough scripts, each golden named after its script.
