@@ -488,58 +488,51 @@ def _term_quotient(a: STerm, b: STerm) -> Counts:
 
 
 def groebner_reduce(e: SPoly, basis: Sequence[SPoly]) -> SPoly:
-    """Unique normal form of e modulo the basis (full reduction)."""
+    """Unique normal form of e modulo the basis (full reduction): each lead
+    of the working terms is cancelled by the first basis element whose lead
+    divides it, or moved to the result."""
     if e.stilde:
         raise ExactError("Groebner machinery lives in the hatted module")
-    result = SPoly(e.p, e.q)
-    work = e
-    leads = [(g, _leading_term(g), g.terms[_leading_term(g)]) for g in basis if not g.is_zero()]
-    while not work.is_zero():
-        lt = _leading_term(work)
-        lc = work.terms[lt]
-        hit = None
-        for g, glt, glc in leads:
+    leads = [(_leading_term(g), g.terms) for g in basis if not g.is_zero()]
+    work = dict(e.terms)
+    result = {}
+    while work:
+        lt = max(work, key=_term_cmp_key)
+        for glt, gterms in leads:
             if _term_divides(glt, lt):
-                hit = (g, glt, glc)
+                factor = work[lt] / gterms[glt]
+                M = _term_quotient(glt, lt)
+                for (B, a), c in gterms.items():
+                    _add_term(work, (mi_add(B, M), a), -factor * c)
                 break
-        if hit is None:
-            mono = SPoly(work.p, work.q, {}, {lt: lc})
-            result = result + mono
-            work = work - mono
         else:
-            g, glt, glc = hit
-            factor = lc / glc
-            work = work - g.mul_monomial(_term_quotient(glt, lt)).scale(factor)
-    return result
+            result[lt] = work.pop(lt)
+    return SPoly(e.p, e.q, {}, result)
 
 
 def groebner_module(gens: Sequence[SPoly]) -> list[SPoly]:
-    """Buchberger completion with module S-pairs (same-position pairs only),
-    returning a reduced basis with monic leading coefficients."""
+    """Buchberger completion with a queue of module S-pairs, each reduced
+    once (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.7-2.9): a
+    pair whose leads lie in different positions is skipped, and a nonzero
+    normal form joins the basis with its pairs to every earlier element.
+    Returns the reduced basis with monic leading coefficients, unique for
+    the fixed term order."""
     basis = [g for g in gens if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        pairs = []
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                lt_i, lt_j = _leading_term(basis[i]), _leading_term(basis[j])
-                if lt_i[1] != lt_j[1]:
-                    continue
-                pairs.append((i, j))
-        for i, j in pairs:
-            g, h = basis[i], basis[j]
-            lt_g, lt_h = _leading_term(g), _leading_term(h)
-            lcm = tuple(max(a, b) for a, b in zip(lt_g[0], lt_h[0]))
-            mg = tuple(l - a for l, a in zip(lcm, lt_g[0]))
-            mh = tuple(l - a for l, a in zip(lcm, lt_h[0]))
-            s = g.mul_monomial(mg).scale(Q(1) / g.terms[lt_g]) - h.mul_monomial(mh).scale(
-                Q(1) / h.terms[lt_h]
-            )
-            nf = groebner_reduce(s, basis)
-            if not nf.is_zero():
-                basis.append(nf)
-                changed = True
+    leads = [_leading_term(g) for g in basis]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    for i, j in pairs:  # a FIFO queue: the loop reaches the pairs appended below
+        lt_g, lt_h = leads[i], leads[j]
+        if lt_g[1] != lt_h[1]:
+            continue
+        g, h = basis[i], basis[j]
+        lcm = (tuple(map(max, lt_g[0], lt_h[0])), lt_g[1])
+        s = g.mul_monomial(_term_quotient(lt_g, lcm)).scale(Q(1) / g.terms[lt_g])
+        s = s - h.mul_monomial(_term_quotient(lt_h, lcm)).scale(Q(1) / h.terms[lt_h])
+        nf = groebner_reduce(s, basis)
+        if not nf.is_zero():
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(nf)
+            leads.append(_leading_term(nf))
     # minimalize (keep one element per minimal leading term), then tail-reduce
     minimal = []
     for g in sorted(basis, key=lambda g: _term_cmp_key(_leading_term(g))):

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cartanframes
+from cartanframes import involution
 from cartanframes.exact import ExactError
 from cartanframes.involution import (
+    _leading_term,
     BetaMap,
     SPoly,
     TPoly,
@@ -35,7 +37,9 @@ from cartanframes.involution import (
     prolonged_symbol_preimage,
     t_homogeneous_component,
 )
-from cartanframes.jets import mi_all
+from cartanframes.jets import mi_all, mi_up_to
+from cartanframes.problem import parse_problem
+import groebner_oracle
 import symbol_echelon
 from symbol_echelon import class_of, symbol_matrix
 
@@ -567,3 +571,53 @@ def test_groebner_input_reduces_to_zero_and_confluence():
         shuffled = list(basis)
         rng.shuffle(shuffled)
         assert groebner_reduce(candidate, basis) == groebner_reduce(candidate, shuffled)
+
+
+def _spoly_file_generators(name):
+    text = (pathlib.Path(__file__).resolve().parent / name).read_text()
+    return parse_problem(text).module_generators("s")
+
+
+@st.composite
+def _spoly_generator_sets(draw):
+    """Up to four generators over 2-3 variables and 1-2 targets, of degree at
+    most 3: empty and all-zero generators, and leads in mixed positions."""
+    p, q = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    term = st.tuples(st.sampled_from(list(mi_up_to(p, 3))), st.integers(0, q - 1))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    gens = draw(st.lists(st.dictionaries(term, coeff, max_size=3), max_size=4))
+    return [SPoly(p, q, {}, terms) for terms in gens]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_spoly_generator_sets())
+def test_groebner_module_equals_the_fixed_point_oracle(gens):
+    """The pair-queue completion and the dict normal form give the oracle's
+    reduced basis, element by element and coefficient by coefficient."""
+    basis = groebner_module(gens)
+    expected = groebner_oracle.oracle_groebner_module(gens)
+    assert [(g.p, g.q, g.stilde, g.terms) for g in basis] == [(g.p, g.q, g.stilde, g.terms) for g in expected]
+    for g in gens:
+        assert groebner_reduce(g, basis) == groebner_oracle.oracle_groebner_reduce(g, basis)
+
+
+@pytest.mark.parametrize("name", ["spoly0.prob", "spoly3.prob"])
+def test_groebner_module_reduces_each_s_pair_once(name, monkeypatch):
+    """A spy on ``groebner_reduce``: one call per minimal element for the tail
+    reduction, and at most one per same-position pair of the completed basis
+    (the longest basis a call saw).  On spoly0 the fixed-point loop made 20
+    calls for a 4-element basis, the pair queue 11."""
+    calls = []
+    reduce = involution.groebner_reduce
+
+    def spy(e, basis):
+        calls.append(list(basis))
+        return reduce(e, basis)
+
+    monkeypatch.setattr(involution, "groebner_reduce", spy)
+    gens = _spoly_file_generators(name)
+    basis = groebner_module(gens)
+    assert basis == groebner_oracle.oracle_groebner_module(gens)
+    completed = max(calls, key=len)
+    pairs = [(g, h) for g, h in itertools.combinations(completed, 2) if _leading_term(g)[1] == _leading_term(h)[1]]
+    assert len(calls) - len(basis) <= len(pairs)
