@@ -109,7 +109,7 @@ def cmd_normalize(pf: ProblemFile, args, report: Report) -> int:
     residual = state.residual_keys(mc_order)
     report.add("frame.residual", ", ".join(fc.mc(k[0], k[1]).name for k in residual) or "none")
     for blockers in state.blocked:
-        report.add("frame.branching_required", ", ".join(blockers))
+        report.add("frame.branching_required", ", ".join(var.name for var in blockers))
     for form in state.residual_relations:
         report.add("frame.residual_relation", form.pretty())
     return 0

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .exact import QONE, QZERO, ExactError, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
+from .exact import QONE, QZERO, ExactError, ExpKey, Poly, Q, RatFn, Variable, _add_term, _merge_exp, solve_linear
 from .exterior import (
     EquationSet,
     ExteriorForm,
@@ -122,14 +122,14 @@ class CrossSection:
 class FrameState:
     """Resolved Maurer-Cartan expressions from a (partial) moving frame.
 
-    ``blocked`` holds, per stratum with a blocked pivot, the sorted names of
-    the invariants whose symbolic coefficients blocked it: the user must
-    declare them nonvanishing or identically zero and re-run."""
+    ``blocked`` holds, per stratum with a blocked pivot, the invariant
+    variables (sorted by name) whose symbolic coefficients blocked it: the
+    user must declare them nonvanishing or identically zero and re-run."""
 
     def __init__(self, engine: "RecurrenceEngine"):
         self.engine = engine
         self.resolved: dict[JetKey, ExteriorForm] = {}
-        self.blocked: list[list[str]] = []
+        self.blocked: list[list[Variable]] = []
         self.residual_relations: list[ExteriorForm] = []
 
     def require_complete(self) -> None:
@@ -140,11 +140,16 @@ class FrameState:
         some w^i it holds on no submanifold jet: the cross-section is
         unreachable.  With invariant coefficients only, like a blocked pivot,
         it holds only where those invariants vanish: a branch to declare."""
-        names = {name for blockers in self.blocked for name in blockers}
+        jc = self.engine.jc
+        branch = {var for blockers in self.blocked for var in blockers}
         for form in self.residual_relations:
             if any(c.is_constant() for c in form.terms.values()):
                 raise CrossSectionError(f"unreachable cross-section: phantom relation {form.pretty()} = 0")
-            names.update(self.engine.jc.ctx.var_by_id(v).name for c in form.terms.values() for v in c.variables())
+            branch.update(jc.ctx.var_by_id(v) for c in form.terms.values() for v in c.variables())
+        names = set()
+        for var in branch:  # an invariant is declared through its coordinate: Q_P4 by q_p4
+            kind, *where = jc.decode(var)
+            names.add(jc.coord_name(where[0]) if kind == "inv" else var.name)
         if names:
             raise CrossSectionError(
                 f"undeclared branch on {', '.join(sorted(names))}: declare each with assume <coordinate> != 0 or == 0 in xsec"
@@ -451,10 +456,8 @@ class RecurrenceEngine:
                 value = value + self.mu_form(other).scale(coeff)
             state.resolved[key] = state.reduce(value)
         if result.blocked:
-            names = []
-            for label, blocker in result.blocked:
-                names.extend(self.jc.ctx.var_by_id(v).name for v in sorted(blocker.variables()))
-            state.blocked.append(sorted(set(names)))
+            blockers = {self.jc.ctx.var_by_id(v) for _, blocker in result.blocked for v in blocker.variables()}
+            state.blocked.append(sorted(blockers, key=lambda var: var.name))
         for coeffs, leftover in result.residual:
             if coeffs:
                 continue

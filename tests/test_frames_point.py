@@ -123,7 +123,7 @@ def test_branching_report_names_blocking_invariant():
     s = session("point")
     s.cs.normalize_coord(("u", 0, (0, 0, 5)), 0)
     state = s.engine.normalize(5)
-    names = {name for blockers in state.blocked for name in blockers}
+    names = {var.name for blockers in state.blocked for var in blockers}
     assert "Q_P4" in names
 
 
@@ -190,7 +190,24 @@ def test_undeclared_branch_stops_the_coframe(tmp_path, capsys):
     assert cli.main(["run", str(path), "coframe", "--order", "5"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: undeclared branch on Q_P4: declare each with assume <coordinate> != 0 or == 0 in xsec\n"
+    assert err == "error: undeclared branch on q_p4: declare each with assume <coordinate> != 0 or == 0 in xsec\n"
+
+
+def test_undeclared_branch_error_names_a_declarable_coordinate(tmp_path, capsys):
+    """The names in the undeclared-branch error are coordinates that
+    ``assume`` takes: declaring each one nonvanishing lets the coframe pass."""
+    from cartanframes import cli
+
+    text = UNSCALED_BRANCH1.replace("  assume q_p4 != 0;\n", "")
+    path = tmp_path / "branch1.prob"
+    path.write_text(text)
+    assert cli.main(["run", str(path), "coframe", "--order", "5"]) == 1
+    err = capsys.readouterr().err
+    names = err[len("error: undeclared branch on ") : err.index(":", len("error: "))].split(", ")
+    assumes = "".join(f"  assume {name} != 0;\n" for name in names)
+    path.write_text(text.replace("}\nprint", assumes + "}\nprint"))
+    assert cli.main(["run", str(path), "coframe", "--order", "5"]) == 0
+    assert "coframe.d2_audit = pass\n" in capsys.readouterr().out
 
 
 def test_order45_recurrence_display(point_universal):

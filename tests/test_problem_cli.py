@@ -191,7 +191,7 @@ def test_cli_coframe_names_the_invariants_of_a_residual_relation(tmp_path, capsy
     assert cli.main(["run", str(prob), "coframe", "--order", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: undeclared branch on U_X: declare each with assume <coordinate> != 0 or == 0 in xsec\n"
+    assert err == "error: undeclared branch on u_x: declare each with assume <coordinate> != 0 or == 0 in xsec\n"
 
 
 def test_cli_structure_empty_problem():
