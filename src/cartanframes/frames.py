@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .exact import QONE, QZERO, ExactError, ExpKey, Poly, Q, RatFn, Variable, _add_term, _merge_exp, solve_linear
+from .exact import QONE, QZERO, ExactError, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
 from .exterior import (
     EquationSet,
     ExteriorForm,
@@ -129,7 +129,7 @@ class FrameState:
     def __init__(self, engine: "RecurrenceEngine"):
         self.engine = engine
         self.resolved: dict[JetKey, ExteriorForm] = {}
-        self.blocked: list[list[Variable]] = []
+        self.blocked: list[list] = []
         self.residual_relations: list[ExteriorForm] = []
 
     def require_complete(self) -> None:
