@@ -9,7 +9,7 @@ import pytest
 from cartanframes.exterior import ExteriorForm
 from cartanframes.frames import commutator_invariants
 from cartanframes.jets import mi_order
-from conftest import session
+from conftest import PROBLEMS, session
 
 MU, NU = 0, 1
 Z4 = (0, 0, 0, 0)
@@ -129,32 +129,7 @@ def test_branching_report_names_blocking_invariant():
 
 # The branch-I problem without the normalization q_p4 = 1: Q_P4 stays a free
 # invariant, and only the declaration ``assume q_p4 != 0`` lets it pivot.
-UNSCALED_BRANCH1 = """
-base x u p q;
-split independent x u p dependent q;
-coeffs xi eta alpha gamma;
-det {
-  xi_p = 0; eta_p = 0; xi_q = 0; eta_q = 0; alpha_q = 0;
-  alpha = eta_x + p*(eta_u - xi_x) - p^2*xi_u;
-  gamma = alpha_x + p*alpha_u + q*alpha_p - q*(xi_x + p*xi_u);
-}
-xsec {
-  x = 0; u = 0; p = 0;
-  q_{u^j x^k} = 0;
-  q_{p u^j x^k} = 0;
-  q_{p^2 u^j} = 0;
-  q_{p^2 u^j x} = 0;
-  q_{p^3 u^j} = 0;
-  q_{p^3 u^j x} = 0;
-  q_p2x2 = 1;
-  q_p5 = 0;
-  q_p4u = 0;
-  q_p4x = 0;
-  assume q_p4 != 0;
-  assume q_p2x2 != 0;
-}
-print { mu^x as mu; mu^u as nu; }
-"""
+UNSCALED_BRANCH1 = (PROBLEMS / "point_branch1_unscaled.prob").read_text()
 
 
 def _normalize_report(tmp_path, capsys, text):

@@ -24,7 +24,8 @@ GOLDEN = TESTS / "golden"
 SCRIPTS_DIR = TESTS.parent / "scripts"
 
 # The structure and lift inputs of the benchmark's algebra workload, the deep
-# coframe and normalize runs, and the frame-path cartan-test above order 1.
+# coframe and normalize runs, the frame-path cartan-test above order 1, and
+# the branch-I problem whose frame divides by the invariant Q_P4.
 DEEP = [
     ("point", "structure", ["--order", "5"]),
     ("contact", "structure", ["--order", "4"]),
@@ -43,6 +44,9 @@ DEEP = [
     ("contact", "cartan-test", ["--order", "3"]),
     ("point_branch1", "cartan-test", ["--order", "3"]),
     ("contact", "cartan-test", ["--order", "6"]),
+    ("point_branch1_unscaled", "normalize", ["--order", "5"]),
+    ("point_branch1_unscaled", "coframe", ["--order", "5"]),
+    ("point_branch1_unscaled", "coframe", ["--order", "9", "--mc-order", "5"]),
 ]
 # Every shipped problem at the CLI defaults.
 DEFAULTS = [
@@ -60,7 +64,7 @@ DEFAULTS = [
 ]
 # Exit 2 at the default orders: the d^2 audit fails (truncation for the point
 # problems, a true negative for contact_asprinted).
-EXIT_2 = {"point", "point_branch1", "point_branch4", "contact_asprinted"}
+EXIT_2 = {"point", "point_branch1", "point_branch1_unscaled", "point_branch4", "contact_asprinted"}
 # (golden name, command line): the canonical print of every shipped problem,
 # and the commands whose inputs are not the shipped problems at CLI flags
 # alone.  spoly0.prob, spoly3.prob and tpoly0.prob are the benchmark's seed-1
