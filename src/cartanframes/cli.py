@@ -5,8 +5,8 @@ rational and canonical polynomial strings, followed by a replay digest (a
 SHA-256 hash of the report body).  All arithmetic is exact, so digests are
 bit-identical across platforms and runs.
 
-Exit codes: 0 success, 1 diagnostics (bad input), 2 internal inconsistency
-(a failed d^2 = 0 audit).
+Exit codes: 0 success, 1 diagnostics (bad input, usage errors included), 2
+internal inconsistency (a failed d^2 = 0 audit).
 """
 
 from __future__ import annotations
@@ -42,6 +42,14 @@ from .session import Session
 
 class UsageError(Exception):
     """A bad command-line value: reported as ``error: ...``, exit 1."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse error is a usage error (exit 1), not argparse's usage
+    block and exit 2; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 class Report:
@@ -353,7 +361,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="cartan-frames")
+    parser = _ArgumentParser(prog="cartan-frames")
     sub = parser.add_subparsers(dest="action", required=True)
     run = sub.add_parser("run", help="run a command on a problem file")
     run.add_argument("file")
@@ -370,7 +378,11 @@ def main(argv=None) -> int:
     run.add_argument("--out", type=str, default=None)
     echo = sub.add_parser("print", help="canonical form of a problem file")
     echo.add_argument("file")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
     try:
         with open(args.file) as handle:

@@ -425,15 +425,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     var = max(
         (a.ctx.var_by_id(vid) for vid in common if max(da[vid], db[vid]) == least), key=lambda var: var.skey
     )
+    # the gcd of the contents times the gcd of the primitive parts
     ua, ub = _as_univariate(a, var), _as_univariate(b, var)
-    if len(da) == 1 and len(db) == 1:
-        return _uni_gcd_q(a.ctx, var, ua, ub)
     ca, cb = _content(a.ctx, ua), _content(a.ctx, ub)
     pa = {e: _poly_divmod_exact(c, ca) for e, c in ua.items()}
     pb = {e: _poly_divmod_exact(c, cb) for e, c in ub.items()}
-    gc = poly_gcd(ca, cb)
-    gp = a.ctx.poly(1) if _images_coprime(pa, pb) else _prs_gcd(a.ctx, var, pa, pb)
-    return _monic(gc * gp)
+    return _monic(poly_gcd(ca, cb) * _prs_gcd(a.ctx, var, pa, pb))
 
 
 def _degrees(p: Poly) -> dict[int, int]:
@@ -444,72 +441,6 @@ def _degrees(p: Poly) -> dict[int, int]:
             if e > out.get(vid, 0):
                 out[vid] = e
     return out
-
-
-def _uni_gcd_q(ctx: Context, var: Variable, ua: dict[int, Poly], ub: dict[int, Poly]) -> Poly:
-    """Monic gcd of two univariate polynomials in ``var`` (views with
-    constant coefficients), by Euclid over Q on dense coefficient lists."""
-    fa = [ua[e].constant_value() if e in ua else QZERO for e in range(_uni_degree(ua) + 1)]
-    fb = [ub[e].constant_value() if e in ub else QZERO for e in range(_uni_degree(ub) + 1)]
-    while fb:
-        fa, fb = fb, _uni_rem_q(fa, fb)
-        while fb and not fb[-1]:
-            fb.pop()
-    lead = fa[-1]
-    return Poly(ctx, {((var.vid, e),) if e else (): c / lead for e, c in enumerate(fa) if c})
-
-
-def _images_coprime(pa: dict[int, Poly], pb: dict[int, Poly]) -> bool:
-    """True when the images of ``pa`` and ``pb`` (univariate views) are
-    coprime over Q at a small-integer point of the other variables where the
-    leading coefficient of ``pa`` does not vanish.  A common factor of
-    positive degree keeps its degree at such a point, so for primitive
-    ``pa``, ``pb`` coprime images mean a gcd of 1.  False when the test is
-    inconclusive."""
-    vids = sorted(set().union(*(c.variables() for u in (pa, pb) for c in u.values())))
-    lead = pa[_uni_degree(pa)]
-    for shift in range(1, 4):
-        point = {vid: Q(shift + k) for k, vid in enumerate(vids)}
-        if evaluate(lead, point):
-            break
-    else:
-        return False
-    fa = [evaluate(pa.get(e), point) for e in range(_uni_degree(pa) + 1)]
-    fb = [evaluate(pb.get(e), point) for e in range(_uni_degree(pb) + 1)]
-    while any(fb):
-        while not fb[-1]:
-            fb.pop()
-        if len(fb) == 1:
-            return True
-        fa, fb = fb, _uni_rem_q(fa, fb)
-    return False
-
-
-def evaluate(p: Optional[Poly], point: dict[int, Fraction]) -> Fraction:
-    """``p`` at a point (variable id -> value); None is the zero polynomial.
-    A variable of ``p`` without a value is an error."""
-    out = QZERO
-    try:
-        for key, c in p.terms.items() if p is not None else ():
-            for vid, e in key:
-                c *= point[vid] ** e
-            out += c
-    except KeyError:
-        raise ExactError("polynomial is not constant") from None
-    return out
-
-
-def _uni_rem_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of dense univariate polynomials over Q (coefficient lists,
-    lowest degree first; ``b`` has a nonzero leading coefficient)."""
-    a = list(a)
-    while len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-    return a
 
 
 def _monic(p: Poly) -> Poly:
@@ -578,6 +509,20 @@ def _prs_gcd(ctx: Context, var: Variable, a: dict[int, Poly], b: dict[int, Poly]
         if scale != 1:
             rem = {e: c * scale for e, c in rem.items()}
         a, b = b, rem
+
+
+def evaluate(p: Poly, point: dict[int, Fraction]) -> Fraction:
+    """``p`` at a point (variable id -> value).  A variable of ``p`` without a
+    value is an error."""
+    out = QZERO
+    try:
+        for key, c in p.terms.items():
+            for vid, e in key:
+                c *= point[vid] ** e
+            out += c
+    except KeyError:
+        raise ExactError("polynomial is not constant") from None
+    return out
 
 
 # -- rational functions --------------------------------------------------------

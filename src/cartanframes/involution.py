@@ -487,13 +487,15 @@ def _term_quotient(a: STerm, b: STerm) -> Counts:
     return tuple(x - y for x, y in zip(b[0], a[0]))
 
 
-def groebner_reduce(e: SPoly, basis: Sequence[SPoly]) -> SPoly:
+def groebner_reduce(e: SPoly, basis: Sequence[SPoly], leads=None) -> SPoly:
     """Unique normal form of e modulo the basis (full reduction): each lead
     of the working terms is cancelled by the first basis element whose lead
-    divides it, or moved to the result."""
+    divides it, or moved to the result.  ``leads``, when the caller keeps
+    them, are the ``(lead, terms)`` pairs of the nonzero basis elements."""
     if e.stilde:
         raise ExactError("Groebner machinery lives in the hatted module")
-    leads = [(_leading_term(g), g.terms) for g in basis if not g.is_zero()]
+    if leads is None:
+        leads = [(_leading_term(g), g.terms) for g in basis if not g.is_zero()]
     work = dict(e.terms)
     result = {}
     while work:
@@ -516,36 +518,35 @@ def groebner_module(gens: Sequence[SPoly]) -> list[SPoly]:
     pair whose leads lie in different positions is skipped, and a nonzero
     normal form joins the basis with its pairs to every earlier element.
     Returns the reduced basis with monic leading coefficients, unique for
-    the fixed term order."""
+    the fixed term order.  Each element's lead is found once."""
     basis = [g for g in gens if not g.is_zero()]
-    leads = [_leading_term(g) for g in basis]
+    leads = [(_leading_term(g), g.terms) for g in basis]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     for i, j in pairs:  # a FIFO queue: the loop reaches the pairs appended below
-        lt_g, lt_h = leads[i], leads[j]
+        lt_g, lt_h = leads[i][0], leads[j][0]
         if lt_g[1] != lt_h[1]:
             continue
         g, h = basis[i], basis[j]
         lcm = (tuple(map(max, lt_g[0], lt_h[0])), lt_g[1])
         s = g.mul_monomial(_term_quotient(lt_g, lcm)).scale(Q(1) / g.terms[lt_g])
         s = s - h.mul_monomial(_term_quotient(lt_h, lcm)).scale(Q(1) / h.terms[lt_h])
-        nf = groebner_reduce(s, basis)
+        nf = groebner_reduce(s, basis, leads)
         if not nf.is_zero():
             pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(nf)
-            leads.append(_leading_term(nf))
-    # minimalize (keep one element per minimal leading term), then tail-reduce
+            leads.append((_leading_term(nf), nf.terms))
+    # minimalize (keep one element per minimal leading term), then tail-reduce;
+    # no lead of a minimal basis divides another, so each keeps its lead
+    order = sorted(range(len(basis)), key=lambda k: _term_cmp_key(leads[k][0]))
     minimal = []
-    for g in sorted(basis, key=lambda g: _term_cmp_key(_leading_term(g))):
-        lt = _leading_term(g)
-        if not any(_term_divides(_leading_term(h), lt) for h in minimal):
-            minimal.append(g)
+    for k in order:
+        if not any(_term_divides(leads[m][0], leads[k][0]) for m in minimal):
+            minimal.append(k)
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, k in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        nf = groebner_reduce(g, others)
-        lt = _leading_term(nf)
-        reduced.append(nf.scale(Q(1) / nf.terms[lt]))
-    reduced.sort(key=lambda g: _term_cmp_key(_leading_term(g)))
+        nf = groebner_reduce(basis[k], [basis[m] for m in others], [leads[m] for m in others])
+        reduced.append(nf.scale(Q(1) / nf.terms[leads[k][0]]))
     return reduced
 
 

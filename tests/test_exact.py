@@ -27,6 +27,7 @@ from cartanframes.exact import (
 )
 from cartanframes.involution import t_span_dim
 from cartanframes.jets import JetContext
+import gcd_oracle
 from substitution import subs_poly, subs_ratfn
 
 
@@ -321,27 +322,54 @@ def _monic_of(p):
     return p * (1 / p.leading_coeff())
 
 
+# Two coprime polynomials of degree 5 and 10 in x, p, q whose remainder
+# sequence once ran for tens of seconds.
+STALLING_PAIR = """
+from fractions import Fraction
+from cartanframes.exact import poly_gcd
+from cartanframes.jets import JetContext
+
+jc = JetContext(["x", "u", "p"], ["q"])
+x, p = jc.pvar(jc.x_var(0)), jc.pvar(jc.x_var(2))
+q = jc.pvar(jc.u_var(0, (0, 0, 0)))
+one = jc.poly(1)
+a = x**2 * p**3 + 3 * x * p**4 + Fraction(3, 2) * p**4 + jc.poly(Fraction(1, 3))
+b = (Fraction(1, 3) * p**5 + 2 * x * q) ** 2 + one
+"""
+
+
 def _stalling_pair():
-    """Two coprime polynomials of degree 5 and 10 in x, p, q whose primitive
-    remainder sequence runs for tens of seconds, and x*q + p + 1."""
-    jc = JetContext(["x", "u", "p"], ["q"])
-    x, p = jc.pvar(jc.x_var(0)), jc.pvar(jc.x_var(2))
-    q = jc.pvar(jc.u_var(0, (0, 0, 0)))
-    one = jc.poly(1)
-    a = x**2 * p**3 + 3 * x * p**4 + Fraction(3, 2) * p**4 + jc.poly(Fraction(1, 3))
-    b = (Fraction(1, 3) * p**5 + 2 * x * q) ** 2 + one
-    return a, b, x * q + p + one, (x, p, q, one)
+    """The stalling pair, and x*q + p + 1."""
+    names = {}
+    exec(STALLING_PAIR, names)
+    x, p, q, one = (names[n] for n in ("x", "p", "q", "one"))
+    return names["a"], names["b"], x * q + p + one, (x, p, q, one)
 
 
-def test_coprime_images_skip_the_remainder_sequence(monkeypatch):
-    import cartanframes.exact
+def _returns_in_time(script, what):
+    """Run ``script`` in a child process: a gcd that stalls fails the time
+    bound instead of hanging the suite."""
+    src = str(pathlib.Path(cartanframes.__file__).resolve().parent.parent)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{what} did not return within 30 s")
+    assert result.returncode == 0, result.stderr
 
-    a, b, _, _ = _stalling_pair()
-    monkeypatch.setattr(cartanframes.exact, "_prs_gcd", _fail_call)
-    assert poly_gcd(a, b) == a.ctx.poly(1)
+
+def test_the_stalling_pair_is_coprime_in_time():
+    """The remainder sequence itself answers 1, with no coprimality test at
+    an evaluation point before it."""
+    _returns_in_time(STALLING_PAIR + "assert poly_gcd(a, b) == one, poly_gcd(a, b)\n", "poly_gcd(a, b)")
 
 
-def test_a_common_factor_survives_the_coprimality_test():
+def test_a_common_factor_of_the_stalling_pair_is_found():
     a, b, h, (x, p, q, one) = _stalling_pair()
     assert poly_gcd(h * (x + p), h * (q * q + one)) == h
     assert poly_gcd(a * h, b * h) == h
@@ -432,47 +460,22 @@ def test_a_point_value_needs_every_variable():
     assert RatFn(x, x + jc.poly(1)).at(point) == Fraction(1, 2)
 
 
-# Runs in a child process: a gcd that stalls fails the time bound instead of
-# hanging the suite.
-COMMON_FACTOR_GCD = """
-from fractions import Fraction
-from cartanframes.exact import poly_gcd
-from cartanframes.jets import JetContext
-
-jc = JetContext(["x", "u", "p"], ["q"])
-x, p = jc.pvar(jc.x_var(0)), jc.pvar(jc.x_var(2))
-q = jc.pvar(jc.u_var(0, (0, 0, 0)))
-one = jc.poly(1)
-a = x**2 * p**3 + 3 * x * p**4 + Fraction(3, 2) * p**4 + jc.poly(Fraction(1, 3))
-b = (Fraction(1, 3) * p**5 + 2 * x * q) ** 2 + one
-h = x + p + one
-assert poly_gcd(a * h, b * h) == h, poly_gcd(a * h, b * h)
-assert poly_gcd(b * h, a * h * h) == h
-"""
-
-
 def test_gcd_with_a_common_factor_returns_in_time():
     """With ``h = x + p + 1`` the remainder sequence in ``p`` (degree 11 in
     ``b*h``) ran for over a minute; the main variable is now a common one of
     least degree, ``x``."""
-    src = str(pathlib.Path(cartanframes.__file__).resolve().parent.parent)
-    try:
-        result = subprocess.run(
-            [sys.executable, "-c", COMMON_FACTOR_GCD],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=30,
-        )
-    except subprocess.TimeoutExpired:
-        pytest.fail("poly_gcd(a*h, b*h) did not return within 30 s")
-    assert result.returncode == 0, result.stderr
+    script = STALLING_PAIR + (
+        "h = x + p + one\n"
+        "assert poly_gcd(a * h, b * h) == h, poly_gcd(a * h, b * h)\n"
+        "assert poly_gcd(b * h, a * h * h) == h\n"
+    )
+    _returns_in_time(script, "poly_gcd(a*h, b*h)")
 
 
 @given(small_polys, small_polys, small_polys)
 @settings(max_examples=40, deadline=None)
 def test_univariate_gcd_by_euclid_over_q_matches_the_remainder_sequence(sf, sg, sh):
-    from cartanframes.exact import _as_univariate, _poly_divmod_exact, _prs_gcd
+    from cartanframes.exact import _as_univariate, _poly_divmod_exact
 
     ctx = Context()
     var = ctx.variable("x")
@@ -482,33 +485,60 @@ def test_univariate_gcd_by_euclid_over_q_matches_the_remainder_sequence(sf, sg, 
     if a.is_constant() or b.is_constant():
         return
     got = poly_gcd(a, b)
-    assert got == _monic_of(_prs_gcd(ctx, var, _as_univariate(a, var), _as_univariate(b, var)))
+    assert got == gcd_oracle.uni_gcd_q(ctx, var, _as_univariate(a, var), _as_univariate(b, var))
     if not h.is_constant():
         _poly_divmod_exact(got, h)  # raises unless h divides the gcd
-
-
-def _fail_call(*args, **kwargs):
-    raise AssertionError("called")
 
 
 @given(small_polys, small_polys, small_polys)
 @settings(max_examples=60, deadline=None)
 def test_gcd_with_and_without_the_coprimality_test_agree(sf, sg, sh):
-    """The evaluation test only ever answers "coprime" when the remainder
-    sequence would have found a gcd of 1."""
+    """Wherever the evaluation test of the oracle answers "coprime" on a
+    primitive pair that ``poly_gcd`` hands to the remainder sequence, the
+    sequence and ``poly_gcd`` of the pair find 1."""
     from unittest import mock
 
     import cartanframes.exact
+    from cartanframes.exact import _from_univariate
 
     ctx = Context()
     x = ctx.poly_var(ctx.variable("x"))
     u = ctx.poly_var(ctx.variable("u"))
     f, g, h = (_poly_of(ctx, x, u, s) for s in (sf, sg, sh))
-    a, b = f * h, g * h
-    got = poly_gcd(a, b)
-    with mock.patch.object(cartanframes.exact, "_images_coprime", lambda pa, pb: False):
-        want = poly_gcd(a, b)
-    assert got == want
+    prs, seen = cartanframes.exact._prs_gcd, []
+
+    def spy(ctx, var, pa, pb):
+        gp = prs(ctx, var, pa, pb)
+        seen.append((var, pa, pb, gp))
+        return gp
+
+    with mock.patch.object(cartanframes.exact, "_prs_gcd", spy):
+        poly_gcd(f * h, g * h)
+    one = ctx.poly(1)
+    for var, pa, pb, gp in seen:
+        if gcd_oracle.images_coprime(pa, pb):
+            assert gp == one
+            assert poly_gcd(_from_univariate(ctx, var, pa), _from_univariate(ctx, var, pb)) == one
+
+
+def test_the_unscaled_branch_reaches_the_remainder_sequence(monkeypatch, capsys):
+    """The frame of the unscaled branch-I problem divides by the invariant
+    Q_P4, so its coframe gcds get past the early checks of ``poly_gcd``: the
+    goldens of this problem guard the remainder sequence."""
+    import cartanframes.exact
+    from cartanframes import cli
+
+    prs, calls = cartanframes.exact._prs_gcd, []
+
+    def spy(*args):
+        calls.append(args)
+        return prs(*args)
+
+    monkeypatch.setattr(cartanframes.exact, "_prs_gcd", spy)
+    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "point_branch1_unscaled.prob"
+    assert cli.main(["run", str(problem), "coframe", "--order", "5"]) == 0
+    capsys.readouterr()
+    assert len(calls) >= 100
 
 
 @given(st.fractions(min_value=-9, max_value=9, max_denominator=12), st.integers(min_value=1, max_value=12))

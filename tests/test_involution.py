@@ -607,9 +607,9 @@ def test_groebner_module_reduces_each_s_pair_once(name, monkeypatch):
     calls = []
     reduce = involution.groebner_reduce
 
-    def spy(e, basis):
+    def spy(e, basis, *leads):
         calls.append(list(basis))
-        return reduce(e, basis)
+        return reduce(e, basis, *leads)
 
     monkeypatch.setattr(involution, "groebner_reduce", spy)
     gens = parse_problem((pathlib.Path(__file__).resolve().parent / name).read_text()).module_generators("s")
@@ -618,3 +618,29 @@ def test_groebner_module_reduces_each_s_pair_once(name, monkeypatch):
     completed = max(calls, key=len)
     pairs = [(g, h) for g, h in itertools.combinations(completed, 2) if _leading_term(g)[1] == _leading_term(h)[1]]
     assert len(calls) - len(basis) <= len(pairs)
+
+
+@pytest.mark.parametrize("name", ["spoly0.prob", "spoly3.prob"])
+def test_groebner_module_finds_each_lead_once(name, monkeypatch):
+    """Spies on ``_leading_term`` and ``groebner_reduce``: the completion
+    finds the lead of each element once, when it joins the basis, and the
+    reductions, the minimalization and the tail reduction reuse it, so there
+    are as many lead calls as elements in the completed basis (the longest
+    basis a reduction saw).  On spoly3 the completion used to make 1,838
+    lead calls."""
+    lead_calls, basis_sizes = [], []
+    leading_term, reduce = involution._leading_term, involution.groebner_reduce
+
+    def lead_spy(e):
+        lead_calls.append(e)
+        return leading_term(e)
+
+    def reduce_spy(e, basis, *leads):
+        basis_sizes.append(len(basis))
+        return reduce(e, basis, *leads)
+
+    monkeypatch.setattr(involution, "_leading_term", lead_spy)
+    monkeypatch.setattr(involution, "groebner_reduce", reduce_spy)
+    gens = parse_problem((pathlib.Path(__file__).resolve().parent / name).read_text()).module_generators("s")
+    groebner_module(gens)
+    assert len(lead_calls) == max(basis_sizes)

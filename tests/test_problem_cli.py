@@ -530,6 +530,32 @@ def test_cli_missing_required_option_is_a_usage_error(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", str(PROBLEMS / "contact.prob"), "bogus"], "argument command: invalid choice: 'bogus'"),
+        (["run", str(PROBLEMS / "contact.prob"), "lift", "--order", "x"], "argument --order: invalid int value: 'x'"),
+        ([], "the following arguments are required: action"),
+    ],
+)
+def test_cli_argument_error_is_a_usage_error(capsys, argv, message):
+    """argparse's own errors are one ``error:`` line and exit 1, not a usage
+    block and ``SystemExit(2)``: exit 2 means an internal inconsistency."""
+    code, out = _run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_cli_help_exits_0(capsys):
+    from cartanframes import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cartan-frames run")
+
+
+@pytest.mark.parametrize(
     "rhs, message",
     [
         ("p^4 + zz", "--rhs:1:8: unknown symbol 'zz'"),
