@@ -27,6 +27,7 @@ from cartanframes.exact import (
 )
 from cartanframes.involution import t_span_dim
 from cartanframes.jets import JetContext
+from conftest import PROBLEMS
 import gcd_oracle
 from substitution import subs_poly, subs_ratfn
 
@@ -521,7 +522,7 @@ def test_gcd_with_and_without_the_coprimality_test_agree(sf, sg, sh):
             assert poly_gcd(_from_univariate(ctx, var, pa), _from_univariate(ctx, var, pb)) == one
 
 
-def test_the_unscaled_branch_reaches_the_remainder_sequence(monkeypatch, capsys):
+def test_the_unscaled_branch_reaches_the_remainder_sequence(monkeypatch):
     """The frame of the unscaled branch-I problem divides by the invariant
     Q_P4, so its coframe gcds get past the early checks of ``poly_gcd``: the
     goldens of this problem guard the remainder sequence."""
@@ -535,9 +536,7 @@ def test_the_unscaled_branch_reaches_the_remainder_sequence(monkeypatch, capsys)
         return prs(*args)
 
     monkeypatch.setattr(cartanframes.exact, "_prs_gcd", spy)
-    problem = pathlib.Path(__file__).resolve().parent.parent / "problems" / "point_branch1_unscaled.prob"
-    assert cli.main(["run", str(problem), "coframe", "--order", "5"]) == 0
-    capsys.readouterr()
+    assert cli.main(["run", str(PROBLEMS / "point_branch1_unscaled.prob"), "coframe", "--order", "5"]) == 0
     assert len(calls) >= 100
 
 
