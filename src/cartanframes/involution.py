@@ -487,7 +487,7 @@ def _term_quotient(a: STerm, b: STerm) -> Counts:
     return tuple(x - y for x, y in zip(b[0], a[0]))
 
 
-def groebner_reduce(e: SPoly, basis: Sequence[SPoly], leads=None) -> SPoly:
+def groebner_reduce(e: SPoly, basis: Sequence[SPoly], leads: Optional[Sequence[tuple]] = None) -> SPoly:
     """Unique normal form of e modulo the basis (full reduction): each lead
     of the working terms is cancelled by the first basis element whose lead
     divides it, or moved to the result.  ``leads``, when the caller keeps
