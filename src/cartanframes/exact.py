@@ -5,11 +5,19 @@ Everything downstream (jet calculus, recurrence relations, symbol matrices)
 runs on the types in this module, so the design goals are: no floats anywhere,
 canonical representatives for every value, and fully deterministic pivoting.
 
-Scalars are ``fractions.Fraction``.  Polynomials are sparse dictionaries
-mapping exponent keys to nonzero Fractions; an exponent key is a sorted tuple
-of ``(variable_id, exponent)`` pairs so that the variable table can grow
-lazily without invalidating existing values.  The canonical monomial order is
-graded lexicographic with respect to each variable's structural sort key.
+A scalar is an ``int`` when it is integral and a ``fractions.Fraction``
+only for a true fraction; ``scalar`` gives the canonical one of an int or a
+Fraction and refuses floats and bools.  An ``int`` and the equal ``Fraction``
+compare and hash alike.  Every coefficient of a canonical ``RatFn`` is an
+``int``, so the polynomial arithmetic under the recurrence engine runs on
+Python ints.  A quotient of two scalars goes through ``Fraction``
+(``_quotient``), since ``int / int`` is a float.
+
+Polynomials are sparse dictionaries mapping exponent keys to nonzero scalars;
+an exponent key is a sorted tuple of ``(variable_id, exponent)`` pairs so that
+the variable table can grow lazily without invalidating existing values.  The
+canonical monomial order is graded lexicographic with respect to each
+variable's structural sort key.
 
 All row reduction goes through one forward-elimination kernel that never swaps
 rows: each column, left to right, pivots on the first remaining row in
@@ -32,6 +40,25 @@ ExpKey = tuple[tuple[int, int], ...]
 
 class ExactError(Exception):
     """Malformed input to an exact-arithmetic operation (e.g. zero denominator)."""
+
+
+def scalar(c) -> int | Fraction:
+    """The canonical scalar equal to ``c``: an ``int`` when ``c`` is
+    integral, else a ``Fraction``.  A float, a bool or any other type raises
+    ``ExactError``."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise ExactError(f"not an exact scalar: {c!r}")
+
+
+def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """The canonical scalar ``a / b``; ``b`` is nonzero."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return scalar(Fraction(a) / b)
 
 
 class Variable:
@@ -60,7 +87,7 @@ class Context:
     def __init__(self):
         self._vars: list[Variable] = []
         self._by_key: dict[tuple, Variable] = {}
-        self._consts: dict[Fraction, "RatFn"] = {}
+        self._consts: dict[int | Fraction, "RatFn"] = {}
 
     def variable(self, name: str, skey: Optional[tuple] = None, intern_key=None) -> Variable:
         """Register (or fetch) a variable.  ``intern_key`` defaults to the name."""
@@ -84,25 +111,27 @@ class Context:
     # -- polynomial constructors ------------------------------------------
 
     def poly(self, const: int | Fraction = 0) -> "Poly":
-        c = Q(const)
-        return Poly(self, {} if c == 0 else {(): c})
+        c = const if type(const) is int else scalar(const)
+        return Poly(self, {(): c} if c else {})
 
     def poly_var(self, var: Variable, exp: int = 1) -> "Poly":
         if exp < 0:
             raise ExactError("negative exponent")
         if exp == 0:
             return self.poly(1)
-        return Poly(self, {((var.vid, exp),): QONE})
+        return Poly(self, {((var.vid, exp),): 1})
 
     def ratfn(self, const: int | Fraction = 0) -> "RatFn":
         """A constant in canonical form: integer numerator over the positive
         denominator, exactly as ``normal_form`` would store it.
 
         There is one instance per value (an int and the equal Fraction share
-        it); ``Poly`` and ``RatFn`` are never mutated, so sharing is safe."""
-        r = self._consts.get(const)
+        it); ``Poly`` and ``RatFn`` are never mutated, so sharing is safe.
+        A float or a bool raises ``ExactError``, also where it equals a
+        stored value."""
+        c = const if type(const) is int else scalar(const)
+        r = self._consts.get(c)
         if r is None:
-            c = Q(const)
             r = self._consts[c] = RatFn(self.poly(c.numerator), self.poly(c.denominator), _normalized=True)
         return r
 
@@ -129,7 +158,7 @@ def _merge_exp(a: ExpKey, b: ExpKey) -> ExpKey:
     return tuple(sorted((v, e) for v, e in out.items() if e))
 
 
-def _add_term(terms: dict, key, c: Fraction) -> None:
+def _add_term(terms: dict, key, c: int | Fraction) -> None:
     """terms[key] += c in a sparse term dict, dropping the key if the sum
     vanishes."""
     prev = terms.get(key)
@@ -145,11 +174,11 @@ def _exp_degree(key: ExpKey) -> int:
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with scalar (int or Fraction) coefficients."""
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms: dict[ExpKey, Fraction]):
+    def __init__(self, ctx: Context, terms: dict[ExpKey, int | Fraction]):
         self.ctx = ctx
         self.terms = terms
 
@@ -164,9 +193,9 @@ class Poly:
     def is_constant(self) -> bool:
         return all(not k for k in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if self.is_zero():
-            return QZERO
+            return 0
         if not self.is_constant():
             raise ExactError("polynomial is not constant")
         return self.terms[()]
@@ -210,15 +239,15 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Q(other)
-            if c == 0:
+            c = scalar(other)
+            if not c:
                 return Poly(self.ctx, {})
             return Poly(self.ctx, {k: v * c for k, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.terms or not other.terms:
             return Poly(self.ctx, {})
-        out: dict[ExpKey, Fraction] = {}
+        out: dict[ExpKey, int | Fraction] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
                 _add_term(out, _merge_exp(ka, kb), ca * cb)
@@ -270,12 +299,12 @@ class Poly:
                 best = key
         return best
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int | Fraction:
         return self.terms[self.leading_key()]
 
     def partial(self, var: Variable) -> "Poly":
         """Formal partial derivative with respect to ``var``."""
-        out: dict[ExpKey, Fraction] = {}
+        out: dict[ExpKey, int | Fraction] = {}
         for key, c in self.terms.items():
             d = dict(key)
             e = d.get(var.vid, 0)
@@ -379,7 +408,7 @@ def _poly_divmod_exact(num: Poly, den: Poly) -> Poly:
             if vid not in den_exp:
                 qexp[vid] = e
         qkey = tuple(sorted((v, e) for v, e in qexp.items() if e))
-        qc = rem.terms[lk] / den_lc
+        qc = _quotient(rem.terms[lk], den_lc)
         qterm = Poly(ctx, {qkey: qc})
         quot = quot + qterm
         rem = rem - qterm * den
@@ -444,7 +473,7 @@ def _degrees(p: Poly) -> dict[int, int]:
 
 
 def _monic(p: Poly) -> Poly:
-    return p * (QONE / p.leading_coeff()) if p.terms else p
+    return p * _quotient(1, p.leading_coeff()) if p.terms else p
 
 
 def _content(ctx: Context, u: dict[int, Poly]) -> Poly:
@@ -501,20 +530,17 @@ def _prs_gcd(ctx: Context, var: Variable, a: dict[int, Poly], b: dict[int, Poly]
         if _uni_degree(rem) == 0:
             return ctx.poly(1)
         cont = _content(ctx, rem)
-        rem = {e: _poly_divmod_exact(c, cont) for e, c in rem.items()}
         # Over Q every scalar is a unit, so the content leaves the numeric
         # factor in place; without this scaling the coefficients grow
         # exponentially from one pseudo-remainder to the next.
-        scale = _primitive_scale([c for p in rem.values() for c in p.terms.values()])
-        if scale != 1:
-            rem = {e: c * scale for e, c in rem.items()}
-        a, b = b, rem
+        prim = _primitive([_poly_divmod_exact(c, cont) for c in rem.values()])
+        a, b = b, dict(zip(rem, prim))
 
 
-def evaluate(p: Poly, point: dict[int, Fraction]) -> Fraction:
+def evaluate(p: Poly, point: dict[int, int | Fraction]) -> int | Fraction:
     """``p`` at a point (variable id -> value).  A variable of ``p`` without a
     value is an error."""
-    out = QZERO
+    out = 0
     try:
         for key, c in p.terms.items():
             for vid, e in key:
@@ -562,8 +588,8 @@ class RatFn:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+    def constant_value(self) -> int | Fraction:
+        return _quotient(self.num.constant_value(), self.den.constant_value())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -595,7 +621,7 @@ class RatFn:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _times_constant(self, other)
+            return _times_constant(self, scalar(other))
         if isinstance(other, Poly):
             other = RatFn(other, self.ctx.poly(1), _normalized=True)
         if not isinstance(other, RatFn):
@@ -643,28 +669,32 @@ class RatFn:
             num, den = -num, -den
         return RatFn(num, den, _normalized=True)
 
-    def at(self, point: dict[int, Fraction]) -> Fraction:
+    def at(self, point: dict[int, int | Fraction]) -> int | Fraction:
         """The value at a point (variable id -> value) that gives every
         variable of ``num`` and ``den`` a value."""
         den = evaluate(self.den, point)
         if not den:
             raise ExactError("zero denominator")
-        return evaluate(self.num, point) / den
+        return _quotient(evaluate(self.num, point), den)
 
     def __repr__(self):
         return f"RatFn({format_ratfn(self)})"
 
 
-def _primitive_scale(coeffs: list[Fraction]) -> Fraction:
-    """The positive scalar that makes ``coeffs`` coprime integers: it clears
-    their denominators and divides out their common integer content."""
-    lcm_den = 1
-    for c in coeffs:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    gcd_num = 0
-    for c in coeffs:
-        gcd_num = math.gcd(gcd_num, abs(c.numerator * (lcm_den // c.denominator)))
-    return Q(lcm_den, gcd_num)
+def _primitive(polys: list[Poly]) -> list[Poly]:
+    """``polys`` times the one positive scalar that makes all their
+    coefficients coprime ints: it clears their denominators and divides out
+    their common integer content.  The coefficients of the result are ints;
+    ``polys`` itself comes back when it already has such coefficients."""
+    coeffs = [c for p in polys for c in p.terms.values()]
+    if all(type(c) is int for c in coeffs):
+        g = math.gcd(*coeffs)
+        if g == 1:
+            return polys
+        return [Poly(p.ctx, {k: c // g for k, c in p.terms.items()}) for p in polys]
+    lcm = math.lcm(*[c.denominator for c in coeffs])
+    g = math.gcd(*[c.numerator * (lcm // c.denominator) for c in coeffs])
+    return [Poly(p.ctx, {k: c.numerator * (lcm // c.denominator) // g for k, c in p.terms.items()}) for p in polys]
 
 
 def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -672,7 +702,7 @@ def _reduce_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         return num, den.ctx.poly(1)
     if num.is_constant() and den.is_constant():
         # a constant shares the polynomials of the interned one
-        const = num.ctx.ratfn(num.constant_value() / den.constant_value())
+        const = num.ctx.ratfn(_quotient(num.constant_value(), den.constant_value()))
         return const.num, const.den
     g = poly_gcd(num, den)
     if not (g.is_constant() and g.constant_value() == 1):
@@ -698,9 +728,7 @@ def _times_constant(f: RatFn, c: int | Fraction) -> RatFn:
 
 def _primitive_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Scale a coprime pair to an integer-primitive one, then sign-normalize."""
-    scale = _primitive_scale(list(num.terms.values()) + list(den.terms.values()))
-    if scale != 1:
-        num, den = num * scale, den * scale
+    num, den = _primitive([num, den])
     if den.leading_coeff() < 0:
         num, den = -num, -den
     return num, den

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .exact import QONE, QZERO, ExactError, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, solve_linear
+from .exact import ExactError, ExpKey, Poly, Q, RatFn, _add_term, _merge_exp, scalar, solve_linear
 from .exterior import (
     EquationSet,
     ExteriorForm,
@@ -50,10 +50,10 @@ class Pattern:
     """A normalization family like q_{p^2 u^j x} = 0: fixed exponents on some
     slots, unconstrained ("wildcard") exponents elsewhere."""
 
-    def __init__(self, alpha: int, fixed: Sequence[Optional[int]], value: Fraction):
+    def __init__(self, alpha: int, fixed: Sequence[Optional[int]], value: int | Fraction):
         self.alpha = alpha
         self.fixed = tuple(fixed)  # None marks a wildcard slot
-        self.value = Q(value)
+        self.value = scalar(value)
 
     def matches(self, alpha: int, J: Counts) -> bool:
         if alpha != self.alpha:
@@ -67,29 +67,30 @@ class CrossSection:
     ``entries`` are explicit (coordinate, constant) normalizations in
     normalization order; ``patterns`` normalize whole families; a vanishing
     module declares every jet divisible by one of its generators to be
-    identically constant (an invariant subbundle).
+    identically constant (an invariant subbundle).  Each constant is stored
+    as an exact scalar (``exact.scalar``): an int when it is integral.
     """
 
     def __init__(self, jc: JetContext):
         self.jc = jc
-        self.entries: list[tuple[Coord, Fraction]] = []
+        self.entries: list[tuple[Coord, int | Fraction]] = []
         self.patterns: list[Pattern] = []
-        self.vanish_generators: list[tuple[int, Counts, Fraction]] = []
+        self.vanish_generators: list[tuple[int, Counts, int | Fraction]] = []
         self.nonvanishing: list[Coord] = []
 
     def normalize_coord(self, coord: Coord, value) -> None:
-        self.entries.append((coord, Q(value)))
+        self.entries.append((coord, scalar(value)))
 
     def add_pattern(self, alpha: int, fixed: Sequence[Optional[int]], value=0) -> None:
-        self.patterns.append(Pattern(alpha, fixed, Q(value)))
+        self.patterns.append(Pattern(alpha, fixed, value))
 
     def declare_vanishing(self, alpha: int, gen: Counts, value=0) -> None:
-        self.vanish_generators.append((alpha, gen, Q(value)))
+        self.vanish_generators.append((alpha, gen, scalar(value)))
 
     def declare_nonvanishing(self, coord: Coord) -> None:
         self.nonvanishing.append(coord)
 
-    def value(self, coord: Coord) -> Optional[Fraction]:
+    def value(self, coord: Coord) -> Optional[int | Fraction]:
         """The constant a normalized or vanishing coordinate is fixed at, or
         None when the cross-section leaves the coordinate free."""
         for entry, value in self.entries:
@@ -102,7 +103,7 @@ class CrossSection:
                     return pat.value
             for valpha, gen, value in self.vanish_generators:
                 if valpha == alpha and mi_divides(gen, J):
-                    return value if mi_order(J) == mi_order(gen) else QZERO
+                    return value if mi_order(J) == mi_order(gen) else 0
         return None
 
     def validate_prefix(self) -> None:
@@ -193,7 +194,7 @@ class RecurrenceEngine:
         self.generator = universal_generator(self.jc, self.system)
         self.mc = lift_system(system, self.iota)
         self._mu_cache: dict[JetKey, ExteriorForm] = {}
-        self._iota_cache: dict[int, tuple[Fraction, ExpKey]] = {}
+        self._iota_cache: dict[int, tuple[int | Fraction, ExpKey]] = {}
         self._field_jet: dict[int, JetKey | bool] = {}
         self._depth_cache: dict[tuple[int, Counts], int] = {}
         self._vanishes: dict[Coord, bool] = {}
@@ -206,7 +207,7 @@ class RecurrenceEngine:
             return self.jc.ratfn(value)
         return self.jc.rvar(self.jc.invariant_var(coord))
 
-    def _iota_var(self, vid: int) -> tuple[Fraction, ExpKey]:
+    def _iota_var(self, vid: int) -> tuple[int | Fraction, ExpKey]:
         """iota of one variable as (constant, monomial key): x^i, u^a_J or the
         invariant of either gives (value, ()) when the cross-section fixes the
         coordinate, and (1, its invariant) otherwise."""
@@ -225,7 +226,7 @@ class RecurrenceEngine:
             raise ExactError(f"cannot invariantize {var.name}")
         value = self.cs.value(coord)
         if value is None:
-            got = (QONE, ((self.jc.invariant_var(coord).vid, 1),))
+            got = (1, ((self.jc.invariant_var(coord).vid, 1),))
         else:
             got = (value, ())
         self._iota_cache[vid] = got
@@ -234,7 +235,7 @@ class RecurrenceEngine:
     def _iota_terms(self, p: Poly) -> Poly:
         """Invariantize a polynomial by substituting the monomial image of each
         variable."""
-        out: dict[ExpKey, Fraction] = {}
+        out: dict[ExpKey, int | Fraction] = {}
         for key, c in p.terms.items():
             mono: ExpKey = ()
             for vid, e in key:
@@ -293,7 +294,7 @@ class RecurrenceEngine:
         fc = self.fc
         # field jet -> terms of its coefficient; each term of phi is one
         # (field jet, coefficient monomial) pair, so no two of them collide
-        coeffs: dict[JetKey, dict[ExpKey, Fraction]] = {}
+        coeffs: dict[JetKey, dict[ExpKey, int | Fraction]] = {}
         field_jet = self._field_jet
         for key, c in phi.terms.items():
             fkey = None

@@ -249,7 +249,7 @@ class JetContext:
     def total_derivative_poly(self, f: Poly, i: int) -> Poly:
         """D_i f by the chain rule in one pass over the terms of f: each factor
         v^e of a monomial contributes e * v^(e-1) * D_i(v) times the rest."""
-        out: dict[ExpKey, Fraction] = {}
+        out: dict[ExpKey, int | Fraction] = {}
         cached = self._dvar_keys
         for key, c in f.terms.items():
             for pos, (vid, e) in enumerate(key):

@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactError, RatFn, _add_term, format_ratfn, format_sum, format_term
+from .exact import ExactError, RatFn, _add_term, _quotient, format_ratfn, format_sum, format_term
 from .frames import CrossSection
 from .involution import SPoly, TPoly, format_module_term
 from .jets import Coord, Counts, JetContext, coord_u, coord_x, mi_zero
@@ -118,11 +118,13 @@ class _Tokens:
                 break
             raw = text[pos : m.end()]
             line += raw.count("\n")
-            col = m.end() - (text.rfind("\n", 0, m.end()) + 1)
             pos = m.end()
             if m.lastgroup == "comment":
                 continue
             kind = m.lastgroup
+            # the 1-based column of the token's first character
+            start = m.start(kind)
+            col = start - text.rfind("\n", 0, start)
             self.tokens.append((kind, m.group(kind), line, col))
         self.i = 0
 
@@ -130,8 +132,11 @@ class _Tokens:
         j = self.i + offset
         if j < len(self.tokens):
             return self.tokens[j]
-        # the end of input is reported where the last token ends
-        return ("eof", "", *(self.tokens[-1][2:] if self.tokens else (0, 0)))
+        # the end of input is reported at the last character of the last token
+        if not self.tokens:
+            return ("eof", "", 0, 0)
+        _, val, line, col = self.tokens[-1]
+        return ("eof", "", line, col + len(val) - 1)
 
     def next(self):
         tok = self.peek()
@@ -519,7 +524,9 @@ def _parse_coord(toks, pf: ProblemFile, stem: str, line: int, col: int) -> Coord
     raise ParseError(f"unknown coordinate {stem!r}", line, col)
 
 
-def _parse_rational(toks) -> Fraction:
+def _parse_rational(toks) -> int | Fraction:
+    """An optionally signed constant ``n`` or ``n/d``: an int when it is
+    integral."""
     sign = 1
     if toks.at("-"):
         toks.next()
@@ -527,7 +534,7 @@ def _parse_rational(toks) -> Fraction:
     kind, val, line, col = toks.next()
     if kind != "num":
         raise ParseError("expected a rational constant", line, col)
-    return Fraction(sign * int(val), _parse_denominator(toks))
+    return _quotient(sign * int(val), _parse_denominator(toks))
 
 
 def _parse_denominator(toks) -> int:

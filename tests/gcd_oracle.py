@@ -18,7 +18,7 @@ def uni_gcd_q(ctx: Context, var: Variable, ua: dict[int, Poly], ub: dict[int, Po
         while fb and not fb[-1]:
             fb.pop()
     lead = fa[-1]
-    return Poly(ctx, {((var.vid, e),) if e else (): c / lead for e, c in enumerate(fa) if c})
+    return Poly(ctx, {((var.vid, e),) if e else (): Fraction(c) / lead for e, c in enumerate(fa) if c})
 
 
 def images_coprime(pa: dict[int, Poly], pb: dict[int, Poly]) -> bool:
@@ -47,12 +47,13 @@ def images_coprime(pa: dict[int, Poly], pb: dict[int, Poly]) -> bool:
     return False
 
 
-def uni_rem_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def uni_rem_q(a: list[int | Fraction], b: list[int | Fraction]) -> list[int | Fraction]:
     """Remainder of dense univariate polynomials over Q (coefficient lists,
-    lowest degree first; ``b`` has a nonzero leading coefficient)."""
+    lowest degree first; ``b`` has a nonzero leading coefficient).  Entries
+    may be ints: each quotient goes through ``Fraction``."""
     a = list(a)
     while len(a) >= len(b):
-        factor = a[-1] / b[-1]
+        factor = Fraction(a[-1]) / b[-1]
         shift = len(a) - len(b)
         for i, c in enumerate(b):
             a[shift + i] -= factor * c

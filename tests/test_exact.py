@@ -23,8 +23,10 @@ from cartanframes.exact import (
     ordered_row_echelon,
     poly_gcd,
     rank,
+    scalar,
     solve_linear,
 )
+from cartanframes.frames import CrossSection
 from cartanframes.involution import t_span_dim
 from cartanframes.jets import JetContext
 from conftest import PROBLEMS
@@ -320,7 +322,7 @@ def test_ratfn_difference_with_a_long_gcd_remainder_sequence():
 
 
 def _monic_of(p):
-    return p * (1 / p.leading_coeff())
+    return p * (Fraction(1) / p.leading_coeff())
 
 
 # Two coprime polynomials of degree 5 and 10 in x, p, q whose remainder
@@ -549,6 +551,56 @@ def test_constant_ratfn_equals_its_quotient(q, k):
     assert a == b and hash(a) == hash(b)
     assert (a - b).is_zero()
     assert normal_form(a) == a and a.constant_value() == q
+
+
+# -- the canonical scalar -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, 0.0, True, False, "1/2"])
+def test_floats_and_bools_are_refused_at_the_kernel_boundary(value):
+    """``0.1`` used to become 3602879701896397/36028797018963968 and ``0.5``
+    the constant 1/2; ``True`` and ``1.0`` hash like the stored constant 1,
+    so the check must come before the interning lookup."""
+    ctx = Context()
+    ctx.ratfn(0), ctx.ratfn(1), ctx.ratfn(Fraction(1, 2))
+    (x,) = _vars(ctx, "x")
+    with pytest.raises(ExactError, match="not an exact scalar"):
+        ctx.poly(value)
+    with pytest.raises(ExactError, match="not an exact scalar"):
+        ctx.ratfn(value)
+    with pytest.raises(ExactError, match="not an exact scalar"):
+        scalar(value)
+    if isinstance(value, bool):
+        with pytest.raises(ExactError, match="not an exact scalar"):
+            x * value
+        with pytest.raises(ExactError, match="not an exact scalar"):
+            RatFn(x, x + ctx.poly(1)) * value
+
+
+def test_a_cross_section_constant_must_be_exact():
+    jc = JetContext(["x"], ["u"])
+    cs = CrossSection(jc)
+    with pytest.raises(ExactError, match="not an exact scalar"):
+        cs.normalize_coord(("x", 0), 0.5)
+    cs.normalize_coord(("x", 0), Fraction(4, 2))
+    assert type(cs.value(("x", 0))) is int
+
+
+def test_integral_scalars_are_ints(ctx):
+    (x,) = _vars(ctx, "x")
+    assert type(scalar(Fraction(4, 2))) is int and scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert [type(c) for c in ctx.poly(Fraction(6, 3)).terms.values()] == [int]
+    assert [type(c) for c in (x * Fraction(3, 1)).terms.values()] == [int]
+    half = ctx.ratfn(Fraction(1, 2))
+    assert (type(half.num.constant_value()), type(half.den.constant_value())) == (int, int)
+    assert ctx.ratfn(Fraction(6, 3)) is ctx.ratfn(2)
+    assert type(ctx.ratfn(Fraction(6, 3)).constant_value()) is int
+    assert half.constant_value() == Fraction(1, 2)
+    assert type(RatFn(ctx.poly(4), ctx.poly(2)).constant_value()) is int
+    # a quotient of ints is a Fraction, never a float
+    f = RatFn(x, ctx.poly(2))
+    assert f.at({x.variables().pop(): 1}) == Fraction(1, 2)
+    assert type(f.at({x.variables().pop(): 4})) is int
 
 
 # -- the elimination kernel against the Gauss-Jordan it replaced -------------------

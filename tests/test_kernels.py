@@ -89,10 +89,10 @@ INV_VARS = [JC.invariant_var(("x", 2))] + [JC.invariant_var(("u", 0, J)) for J i
 BASE_VARS = [JC.coord_var(coord) for coord in ENGINE.system.base_coords]
 
 
-def polys(pool):
+def polys(pool, coeffs=st.fractions(min_value=-4, max_value=4, max_denominator=3)):
     """Random polynomials over the variables of ``pool``."""
     term = st.tuples(
-        st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+        coeffs.filter(bool),
         st.lists(st.tuples(st.sampled_from(pool), st.integers(min_value=1, max_value=3)), max_size=3),
     )
 
@@ -109,8 +109,16 @@ def polys(pool):
 
 
 def assert_exact(*values: Poly):
+    """No coefficient is a float or a bool: each is an int or a Fraction."""
     for p in values:
-        assert all(type(c) is Fraction for c in p.terms.values()), p.terms
+        assert all(type(c) in (int, Fraction) for c in p.terms.values()), p.terms
+
+
+def assert_canonical_scalars(*values: RatFn):
+    """Every coefficient of the numerator and the denominator of a canonical
+    ``RatFn`` is an int."""
+    for f in values:
+        assert all(type(c) is int for p in (f.num, f.den) for c in p.terms.values()), (f.num.terms, f.den.terms)
 
 
 @given(polys(JET_VARS + FIELD_VARS), st.integers(min_value=0, max_value=2))
@@ -121,6 +129,18 @@ def test_total_derivative_matches_chain_rule_oracle(f, i):
     assert_exact(got)
 
 
+int_polys = polys(JET_VARS + FIELD_VARS, st.integers(min_value=-4, max_value=4))
+
+
+@given(int_polys, int_polys, st.sampled_from(JET_VARS), st.integers(min_value=0, max_value=2), st.integers(-3, 3))
+@settings(max_examples=80, deadline=None)
+def test_int_coefficients_stay_ints(f, g, var, i, k):
+    """Polynomial arithmetic and the total derivative of int-coefficient
+    inputs run on ints: no result coefficient is a Fraction."""
+    for got in (f + g, f - g, -f, f * g, f**2, f * k, f * Fraction(2 * k, 2), f.partial(var), JC.total_derivative_poly(f, i)):
+        assert all(type(c) is int for c in got.terms.values()), got.terms
+
+
 @given(polys(JET_VARS + INV_VARS))
 @settings(max_examples=80, deadline=None)
 def test_iota_poly_matches_ratfn_product_oracle(p):
@@ -128,7 +148,7 @@ def test_iota_poly_matches_ratfn_product_oracle(p):
     want = oracle_iota_poly(ENGINE, p)
     assert got == want
     assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
-    assert_exact(got.num, got.den)
+    assert_canonical_scalars(got)
 
 
 @given(polys(BASE_VARS), st.sampled_from(BASE_VARS), st.integers(min_value=1, max_value=2))
@@ -168,8 +188,7 @@ def test_recurrence_coefficients_stay_exact():
     for J in mi_up_to(3, 2):
         assert_exact(engine.generator.prolong(0, J))
         rhs = engine.recurrence(("u", 0, J))
-        for c in rhs.terms.values():
-            assert_exact(c.num, c.den)
+        assert_canonical_scalars(*rhs.terms.values())
 
 
 def oracle_merge_exp(a, b):
@@ -213,7 +232,7 @@ def plain_product(f: RatFn, g: RatFn) -> RatFn:
 def assert_same_ratfn(got: RatFn, want: RatFn):
     assert (got.num, got.den) == (want.num, want.den)
     assert hash(got) == hash(want)
-    assert_exact(got.num, got.den)
+    assert_canonical_scalars(got)
 
 
 @given(small_polys(), small_polys().filter(bool), constants, st.booleans())

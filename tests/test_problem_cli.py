@@ -217,20 +217,20 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         # the error points at that name.
         (plain, "coeffs x u;\ndet { x_u = u*u_x; }\n", "3:8: coeffs must not reuse the base coordinate name 'x'"),
         (plain, "coeffs xi u;\n", "3:11: coeffs must not reuse the base coordinate name 'u'"),
-        (plain, "coeffs xi xi;\n", "3:12: coeffs must name distinct coefficient fields"),
+        (plain, "coeffs xi xi;\n", "3:11: coeffs must name distinct coefficient fields"),
         # The default field names zeta<name> are checked too, each at the base
         # coordinate it is made from.
         ("base x zetax;\nsplit independent x dependent zetax;\n", "", "1:6: coeffs must not reuse the base coordinate name 'zetax'"),
         # A mismatch is reported at its statement, a missing declaration at 0:0.
-        ("base x u;\nsplit independent u dependent x;\n", "", "2:5: base must list independents then dependents, matching split"),
-        (plain, "coeffs xi;\n", "3:6: coeffs must name one coefficient field per base variable"),
+        ("base x u;\nsplit independent u dependent x;\n", "", "2:1: base must list independents then dependents, matching split"),
+        (plain, "coeffs xi;\n", "3:1: coeffs must name one coefficient field per base variable"),
         ("split independent x dependent u;\n", "", "0:0: missing base declaration"),
         # Errors found while a relation is evaluated point at the operator
         # or the repeated lead, and name the relation by its lead jet.
         (plain, "coeffs xi eta;\ndet { xi = eta*eta; }\n", "4:15: the relation for xi is not linear in the coefficient fields"),
         (plain, "coeffs xi eta;\ndet { xi = eta^2; }\n", "4:15: cannot exponentiate a field-jet expression in the relation for xi"),
-        (plain, "coeffs xi eta;\ndet { xi = 0; xi = eta; }\n", "4:16: duplicate relation for xi"),
-        (plain, "coeffs xi eta;\ndet { xi_x = eta; xi_x = 0; }\n", "4:20: duplicate relation for xi_x"),
+        (plain, "coeffs xi eta;\ndet { xi = 0; xi = eta; }\n", "4:15: duplicate relation for xi"),
+        (plain, "coeffs xi eta;\ndet { xi_x = eta; xi_x = 0; }\n", "4:19: duplicate relation for xi_x"),
         # A character no token starts with is reported at its own line and
         # column, past any blank lines and spaces before it.
         (plain, "coeffs xi eta; $\n", "3:16: unexpected character '$'"),
@@ -558,7 +558,7 @@ def test_cli_help_exits_0(capsys):
 @pytest.mark.parametrize(
     "rhs, message",
     [
-        ("p^4 + zz", "--rhs:1:8: unknown symbol 'zz'"),
+        ("p^4 + zz", "--rhs:1:7: unknown symbol 'zz'"),
         ("p^4 p", "--rhs:1:5: trailing token 'p'"),
         ("p^4 + $x", "--rhs:1:7: unexpected character '$'"),
     ],
@@ -614,17 +614,17 @@ def test_module_polynomial_parse_errors(block, message):
     "statement, message",
     [
         # the lead of a determining relation
-        ("det { xi_{u^j} = 0; }", "4:8: wildcards not allowed in determining relations"),
-        ("det { xi_zz = 0; }", "4:11: cannot read subscript 'zz'"),
+        ("det { xi_{u^j} = 0; }", "4:7: wildcards not allowed in determining relations"),
+        ("det { xi_zz = 0; }", "4:10: cannot read subscript 'zz'"),
         ("det { xi_ = 0; }", "4:11: expected subscript"),
         ("det { xi_{u u} = 0; }", "4:13: repeated subscript variable 'u'"),
         # a cross-section coordinate
         ("xsec { assume u_{x^j} != 0; }", "4:15: wildcards not allowed here"),
-        ("xsec { u_zz = 0; }", "4:11: cannot read subscript 'zz'"),
-        ("xsec { assume u_ != 0; }", "4:19: expected subscript"),
+        ("xsec { u_zz = 0; }", "4:10: cannot read subscript 'zz'"),
+        ("xsec { assume u_ != 0; }", "4:18: expected subscript"),
         # a name in an expression
-        ("det { xi = eta_{x^j}; }", "4:14: wildcards only appear in cross-section families"),
-        ("det { xi = eta_zz; }", "4:17: cannot read subscript 'zz'"),
+        ("det { xi = eta_{x^j}; }", "4:12: wildcards only appear in cross-section families"),
+        ("det { xi = eta_zz; }", "4:16: cannot read subscript 'zz'"),
         ("det { xi = eta_+ xi; }", "4:16: expected subscript"),
         ("det { xi = x_x*eta; }", "4:12: independent variables carry no subscripts"),
     ],
