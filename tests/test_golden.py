@@ -69,7 +69,9 @@ EXIT_2 = {"point", "point_branch1", "point_branch1_unscaled", "point_branch4", "
 # and the commands whose inputs are not the shipped problems at CLI flags
 # alone.  spoly0.prob, spoly3.prob and tpoly0.prob are the benchmark's seed-1
 # groebner and cartan-test inputs (spoly3 completes to a 10-element basis);
-# tpoly6.prob is a six-variable cartan-test input.
+# tpoly6.prob is a six-variable cartan-test input.  The signature_quadratic_*
+# inputs compare a non-constant invariant, so their Jacobians are not zero and
+# the singular values come from the Jacobi sweeps.
 OTHER = [(f"{p.stem}_print", ["print", str(p)]) for p in sorted(PROBLEMS.glob("*.prob"))] + [
     ("point_classify-ode_rhs", ["run", str(PROBLEMS / "point.prob"), "classify-ode", "--rhs", "p^4 + x*p"]),
     ("twoform_case1_cartan-test_m_3", ["run", str(PROBLEMS / "twoform_case1.prob"), "cartan-test", "--m", "3"]),
@@ -79,7 +81,7 @@ OTHER = [(f"{p.stem}_print", ["print", str(p)]) for p in sorted(PROBLEMS.glob("*
             f"contact_signature-compare_{which}",
             ["run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(PROBLEMS / f"signature_{which}.json")],
         )
-        for which in ("equal", "distinct")
+        for which in ("equal", "distinct", "quadratic_equal", "quadratic_distinct")
     ),
     *((f"{s}_groebner", ["run", str(TESTS / f"{s}.prob"), "groebner"]) for s in ("spoly0", "spoly3")),
     *((f"{t}_cartan-test_order_2", ["run", str(TESTS / f"{t}.prob"), "cartan-test", "--order", "2"]) for t in ("tpoly0", "tpoly6")),

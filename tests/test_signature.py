@@ -196,7 +196,7 @@ def test_jacobi_singular_values_match_numpy(jac, tol):
 BLOCKED_NUMPY = "import sys; sys.modules['numpy'] = None; from cartanframes.cli import main; sys.exit(main())"
 
 
-@pytest.mark.parametrize("which", ["equal", "distinct"])
+@pytest.mark.parametrize("which", ["equal", "distinct", "quadratic_equal", "quadratic_distinct"])
 def test_signature_compare_runs_without_numpy(which):
     """numpy is a test dependency only: with it blocked, the command still
     prints its golden report."""
