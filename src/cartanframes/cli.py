@@ -380,44 +380,25 @@ def main(argv=None) -> int:
     echo.add_argument("file")
     try:
         args = parser.parse_args(argv)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
-    try:
         with open(args.file) as handle:
-            text = handle.read()
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    try:
-        pf = parse_problem(text)
+            pf = parse_problem(handle.read())
+        if args.action == "print":
+            rendered, code = print_problem(pf), 0
+        else:
+            _check_ranges(args)
+            report = Report(args.command)
+            code = COMMANDS[args.command](pf, args, report)
+            rendered = report.render()
+            if args.out:
+                with open(args.out, "w") as handle:
+                    handle.write(rendered)
     except ParseError as err:
         print(f"{args.file}:{err}", file=sys.stderr)
         return 1
-    except ExactError as err:
+    except (OSError, ExactError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    if args.action == "print":
-        sys.stdout.write(print_problem(pf))
-        return 0
-
-    report = Report(args.command)
-    try:
-        _check_ranges(args)
-        code = COMMANDS[args.command](pf, args, report)
-    except ParseError as err:
-        print(f"{args.file}:{err}", file=sys.stderr)
-        return 1
-    except (ExactError, UsageError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    rendered = report.render()
     sys.stdout.write(rendered)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
     return code
 
 

@@ -105,9 +105,6 @@ class Context:
     def var_by_id(self, vid: int) -> Variable:
         return self._vars[vid]
 
-    def __len__(self):
-        return len(self._vars)
-
     # -- polynomial constructors ------------------------------------------
 
     def poly(self, const: int | Fraction = 0) -> "Poly":
@@ -269,35 +266,18 @@ class Poly:
 
     # -- structure ----------------------------------------------------------
 
-    def _mono_cmp(self, ka: ExpKey, kb: ExpKey) -> int:
-        """Graded-lex comparison: total degree first, then exponent vectors
-        read along the structural variable order (missing variables are 0, an
-        earlier variable with a positive exponent wins)."""
-        da, db = _exp_degree(ka), _exp_degree(kb)
-        if da != db:
-            return -1 if da < db else 1
-        seq_a = sorted((self.ctx.var_by_id(v).skey, e) for v, e in ka)
-        seq_b = sorted((self.ctx.var_by_id(v).skey, e) for v, e in kb)
-        for (sa, ea), (sb, eb) in zip(seq_a, seq_b):
-            if sa != sb:
-                return 1 if sa < sb else -1
-            if ea != eb:
-                return 1 if ea > eb else -1
-        return 0
-
-    def sorted_keys(self, reverse: bool = False) -> list[ExpKey]:
-        import functools
-
-        return sorted(self.terms, key=functools.cmp_to_key(self._mono_cmp), reverse=reverse)
+    def _mono_key(self, key: ExpKey) -> tuple:
+        """Graded-lex sort key, least for the leading monomial: degree first,
+        then ``(skey, -e)`` along the structural variable order."""
+        var_by_id = self.ctx.var_by_id
+        return (-_exp_degree(key), sorted([(var_by_id(v).skey, -e) for v, e in key]))
 
     def leading_key(self) -> ExpKey:
         if not self.terms:
             raise ExactError("zero polynomial has no leading term")
-        best = None
-        for key in self.terms:
-            if best is None or self._mono_cmp(key, best) > 0:
-                best = key
-        return best
+        if len(self.terms) == 1:
+            return next(iter(self.terms))
+        return min(self.terms, key=self._mono_key)
 
     def leading_coeff(self) -> int | Fraction:
         return self.terms[self.leading_key()]
@@ -334,7 +314,7 @@ class Poly:
 def format_poly(p: Poly) -> str:
     """Canonical human-readable form, ordered by descending graded-lex."""
     parts = []
-    for key in p.sorted_keys(reverse=True):
+    for key in sorted(p.terms, key=p._mono_key):
         factors = sorted(key, key=lambda ve: p.ctx.var_by_id(ve[0]).skey)
         mono = format_monomial([(p.ctx.var_by_id(vid).name, e) for vid, e in factors])
         parts.append(format_term(str(p.terms[key]), mono))

@@ -67,7 +67,7 @@ class CrossSection:
     ``entries`` are explicit (coordinate, constant) normalizations in
     normalization order; ``patterns`` normalize whole families; a vanishing
     module declares every jet divisible by one of its generators to be
-    identically constant (an invariant subbundle).  Each constant is stored
+    identically zero (an invariant subbundle).  Each constant is stored
     as an exact scalar (``exact.scalar``): an int when it is integral.
     """
 
@@ -75,7 +75,7 @@ class CrossSection:
         self.jc = jc
         self.entries: list[tuple[Coord, int | Fraction]] = []
         self.patterns: list[Pattern] = []
-        self.vanish_generators: list[tuple[int, Counts, int | Fraction]] = []
+        self.vanish_generators: list[tuple[int, Counts]] = []
         self.nonvanishing: list[Coord] = []
 
     def normalize_coord(self, coord: Coord, value) -> None:
@@ -84,8 +84,8 @@ class CrossSection:
     def add_pattern(self, alpha: int, fixed: Sequence[Optional[int]], value=0) -> None:
         self.patterns.append(Pattern(alpha, fixed, value))
 
-    def declare_vanishing(self, alpha: int, gen: Counts, value=0) -> None:
-        self.vanish_generators.append((alpha, gen, scalar(value)))
+    def declare_vanishing(self, alpha: int, gen: Counts) -> None:
+        self.vanish_generators.append((alpha, gen))
 
     def declare_nonvanishing(self, coord: Coord) -> None:
         self.nonvanishing.append(coord)
@@ -101,9 +101,9 @@ class CrossSection:
             for pat in self.patterns:
                 if pat.matches(alpha, J):
                     return pat.value
-            for valpha, gen, value in self.vanish_generators:
+            for valpha, gen in self.vanish_generators:
                 if valpha == alpha and mi_divides(gen, J):
-                    return value if mi_order(J) == mi_order(gen) else 0
+                    return 0
         return None
 
     def validate_prefix(self) -> None:
@@ -215,14 +215,10 @@ class RecurrenceEngine:
         if got is not None:
             return got
         var = self.jc.ctx.var_by_id(vid)
-        decoded = self.jc.decode(var)
-        if decoded[0] == "x":
-            coord = ("x", decoded[1])
-        elif decoded[0] == "u":
-            coord = ("u", decoded[1], decoded[2])
-        elif decoded[0] == "inv":
-            coord = decoded[1]
-        else:
+        coord = self.jc.decode(var)  # ("x", i) and ("u", alpha, J) are coordinates
+        if coord[0] == "inv":
+            coord = coord[1]
+        elif coord[0] not in ("x", "u"):
             raise ExactError(f"cannot invariantize {var.name}")
         value = self.cs.value(coord)
         if value is None:
@@ -321,14 +317,11 @@ class RecurrenceEngine:
         """The fewest total derivatives, drawn from the multiset ``R``, that
         turn the variable ``vid`` into a coordinate that iota does not send to
         0; ``|R| + 1`` when no such derivatives exist.  A field jet counts 0:
-        the lift sends it to a Maurer-Cartan form, never to 0.  Stored in
-        ``_depth_cache``."""
+        the lift sends it to a Maurer-Cartan form, never to 0.  ``D_J Q``
+        holds no independent variable.  Stored in ``_depth_cache``."""
         decoded = self.jc.decode(self.jc.ctx.var_by_id(vid))
         depth = 0
-        if decoded[0] == "x":
-            if self.cs.value(decoded) == 0:
-                depth = 1 if R[decoded[1]] else sum(R) + 1
-        elif decoded[0] == "u":
+        if decoded[0] == "u":
             alpha, K = decoded[1], decoded[2]
             vanishes = self._vanishes
             depth = sum(R) + 1

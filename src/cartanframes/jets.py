@@ -217,11 +217,8 @@ class JetContext:
 
     def _var_derivative(self, var: Variable, i: int) -> Poly:
         kind = var.skey[0]
-        if kind == 0:
-            return self.poly(1 if var.skey[1] == i else 0)
-        if kind == 1:
-            alpha, J = var.skey[2], var.skey[3]
-            return self.pvar(self.u_var(alpha, mi_bump(J, i)))
+        if kind <= 1:
+            return self._coord_derivative(self.decode(var), i)
         if kind == 2:
             field = self.fields[var.skey[1]]
             B = var.skey[3]

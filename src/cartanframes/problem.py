@@ -61,7 +61,7 @@ class ProblemFile:
         self.independent: list[str] = []
         self.dependent: list[str] = []
         self.coeffs: list[str] = []
-        self.print_aliases: dict[tuple[str, str], str] = {}
+        self.print_aliases: dict[str, str] = {}  # base coordinate -> name of its mu
         self.tpoly: list[TPolyDecl] = []
         self.spoly: list[TPolyDecl] = []
         # built objects (populated by parse_problem)
@@ -359,6 +359,7 @@ def parse_problem(text: str) -> ProblemFile:
     # that base and coeffs list, for the declaration checks
     at: dict[str, tuple[int, int]] = {}
     names_at: dict[str, list] = {"base": [], "coeffs": []}
+    prints: list[tuple] = []  # (stem, coordinate, alias) tokens of the print block
     while toks.peek()[0] != "eof":
         kind, val, line, col = toks.next()
         if val in ("base", "coeffs"):
@@ -383,19 +384,19 @@ def parse_problem(text: str) -> ProblemFile:
         elif val == "print":
             toks.expect("{")
             while not toks.at("}"):
-                stem = toks.next()[1]
+                stem = toks.next()
                 toks.expect("^")
-                coord = toks.next()[1]
+                coord = toks.next()
                 toks.expect("as")
-                alias = toks.next()[1]
+                prints.append((stem, coord, toks.next()))
                 toks.expect(";")
-                pf.print_aliases[(stem, coord)] = alias
             toks.expect("}")
         elif val == ";":
             continue
         else:
             raise ParseError(f"unknown declaration {val!r}", line, col)
     _validate_declarations(pf, at, names_at)
+    _read_print_aliases(pf, prints)
     _build(pf, raw)
     return pf
 
@@ -422,6 +423,19 @@ def _validate_declarations(pf: ProblemFile, at: dict, names_at: dict) -> None:
     for name, pos in zip(pf.coeffs, where):
         if name in pf.base:
             raise ParseError(f"coeffs must not reuse the base coordinate name {name!r}", *pos)
+
+
+def _read_print_aliases(pf: ProblemFile, prints: list[tuple]) -> None:
+    """The ``print { mu^x as mu; }`` block: each renames the Maurer-Cartan
+    forms of one base coordinate, at most once, to a name no other takes."""
+    for (_, stem, line, col), (_, coord, _, _), (_, alias, l3, c3) in prints:
+        if stem != "mu" or coord not in pf.base:
+            raise ParseError(f"print renames only mu^<base coordinate>, not {stem}^{coord}", line, col)
+        if coord in pf.print_aliases:
+            raise ParseError(f"duplicate print name for mu^{coord}", line, col)
+        if alias in pf.print_aliases.values():
+            raise ParseError(f"print name {alias!r} is already taken", l3, c3)
+        pf.print_aliases[coord] = alias
 
 
 def _capture_statement(toks: _Tokens) -> list:
@@ -647,13 +661,13 @@ def print_problem(pf: ProblemFile) -> str:
             lines.append(f"  {pf.dependent[pat.alpha]}_{{{' '.join(sub)}}} = {pat.value};")
         for coord in cs.nonvanishing:
             lines.append(f"  assume {jc.coord_name(coord)} != 0;")
-        for alpha, gen, value in cs.vanish_generators:
+        for alpha, gen in cs.vanish_generators:
             lines.append(f"  assume {jc.jet_name(alpha, gen)} == 0;")
         lines.append("}")
     if pf.print_aliases:
         lines.append("print {")
-        for (stem, coord), alias in pf.print_aliases.items():
-            lines.append(f"  {stem}^{coord} as {alias};")
+        for coord, alias in pf.print_aliases.items():
+            lines.append(f"  mu^{coord} as {alias};")
         lines.append("}")
     for block, letter, varnames, targets in _module_blocks(pf):
         if not block:

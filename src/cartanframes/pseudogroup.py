@@ -86,21 +86,13 @@ class DeterminingSystem:
         return self.lead_for(key) is not None
 
     def basis_jets(self, order: int) -> list[JetKey]:
-        out = []
-        for f in range(self.m):
-            for B in mi_up_to(self.m, order):
-                key = (f, B)
-                if not self.is_solved(key):
-                    out.append(key)
-        return out
+        return self._jets(order, solved=False)
 
     def solved_jets(self, order: int) -> list[JetKey]:
-        out = []
-        for f in range(self.m):
-            for B in mi_up_to(self.m, order):
-                if self.is_solved((f, B)):
-                    out.append((f, B))
-        return out
+        return self._jets(order, solved=True)
+
+    def _jets(self, order: int, solved: bool) -> list[JetKey]:
+        return [(f, B) for f in range(self.m) for B in mi_up_to(self.m, order) if self.is_solved((f, B)) == solved]
 
     # -- differentiation and reduction ---------------------------------------
 

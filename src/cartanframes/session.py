@@ -52,9 +52,7 @@ class Session:
     def fc(self) -> FormContext:
         """Form symbols, with the ``print { mu^x as mu; }`` names applied."""
         fc = FormContext(self.jc)
-        for (stem, coord), alias in self.pf.print_aliases.items():
-            if coord in self.pf.base:
-                fc.mc_names[self.pf.base.index(coord)] = alias
+        fc.mc_names = {self.pf.base.index(coord): alias for coord, alias in self.pf.print_aliases.items()}
         return fc
 
     @cached_property

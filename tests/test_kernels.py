@@ -6,6 +6,7 @@ pull-back, the restriction to a pseudo-group and the exterior derivative as
 sums of wedges, and the normalized coframe as restriction by the relabelling
 lift followed by evaluation on the cross-section."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from cartanframes.frames import CrossSection, RecurrenceEngine, normalized_struc
 from cartanframes.jets import JetContext, mi_bump, mi_factorial, mi_up_to, mi_zero
 from cartanframes.pseudogroup import lift_system
 from conftest import PROBLEMS, diffeo_system, session
+from monomial_oracle import mono_cmp
 
 
 def oracle_total_derivative(jc, f: Poly, i: int) -> Poly:
@@ -161,6 +163,21 @@ def test_iota_of_a_lifted_coefficient_is_its_cross_section_value(p, var, e):
     value = ENGINE.iota(f)
     assert ENGINE.iota(lift_system(ENGINE.system).lift_coeff(f)) == value
     assert ENGINE.iota(value) == value
+
+
+mixed_polys = polys(JET_VARS + FIELD_VARS + INV_VARS)
+
+
+@given(mixed_polys, mixed_polys)
+@settings(max_examples=100, deadline=None)
+def test_monomial_key_orders_like_the_comparator_oracle(f, g):
+    """One sort key orders the monomials of x, u-jet, field-jet and invariant
+    variables exactly as the pairwise comparator did."""
+    for p in (f, f * g + g):
+        by_cmp = functools.cmp_to_key(lambda ka, kb: mono_cmp(p, ka, kb))
+        assert sorted(p.terms, key=p._mono_key) == sorted(p.terms, key=by_cmp, reverse=True)
+        if p.terms:
+            assert p.leading_key() == max(p.terms, key=by_cmp)
 
 
 @given(polys(JET_VARS + FIELD_VARS), st.sampled_from(INV_VARS))

@@ -384,6 +384,49 @@ def test_cli_out_file(tmp_path):
     assert out_path.read_text() == out
 
 
+def test_cli_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):
+    """A failed ``--out`` write is one ``error:`` line and exit 1, and the
+    report does not reach stdout either."""
+    from cartanframes import cli
+
+    out_path = tmp_path / "missing" / "report.txt"
+    assert cli.main(["run", str(PROBLEMS / "pj.prob"), "lift", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
+
+
+POINT_PRINT = "  mu^x as mu; mu^u as nu;\n"
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        # two forms would print under one key, frame.nu_X
+        ("  mu^x as nu; mu^u as nu;\n", "25:23: print name 'nu' is already taken"),
+        ("  foo^u as nu;\n", "25:3: print renames only mu^<base coordinate>, not foo^u"),
+        ("  mu^zz as mu;\n", "25:3: print renames only mu^<base coordinate>, not mu^zz"),
+        ("  mu^x as mu; mu^x as nu;\n", "25:15: duplicate print name for mu^x"),
+    ],
+)
+def test_cli_print_block_errors_are_positioned(tmp_path, capsys, block, message):
+    from cartanframes import cli
+
+    text = (PROBLEMS / "point.prob").read_text()
+    assert text.splitlines()[24] + "\n" == POINT_PRINT
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text.replace(POINT_PRINT, block))
+    assert cli.main(["run", str(bad), "normalize", "--order", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{bad}:{message}\n"
+
+
+def test_print_block_may_precede_base():
+    text = "print { mu^u as nu; }\nbase x u;\nsplit independent x dependent u;\n"
+    assert parse_problem(text).print_aliases == {"u": "nu"}
+
+
 def test_cli_entry_point_installed():
     result = subprocess.run(
         [sys.executable, "-m", "cartanframes.cli", "print", str(PROBLEMS / "empty.prob")],

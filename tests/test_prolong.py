@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cartanframes.frames import CrossSection, RecurrenceEngine
 from cartanframes.jets import JetContext, coord_u, coord_x, mi_bump, mi_up_to, mi_zero
 from cartanframes.pseudogroup import DeterminingSystem, InfinitesimalGenerator, universal_generator
-from conftest import load_problem
+from conftest import PROBLEMS, load_problem
 
 
 def iterated_derivative(jc, f, J):
@@ -93,6 +93,20 @@ def _toy():
 
 BUILDERS = {"point": lambda: _shipped("point"), "contact": lambda: _shipped("contact"), "toy": _toy}
 BUILT = {}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.prob")))
+def test_unpruned_prolongation_holds_no_independent_variable(name):
+    """Each coefficient of ``Q`` is an order-0 field jet, and ``D_i`` of one
+    is field jets times ``D_i`` of base coordinates: a constant or a u-jet.
+    So ``D_J Q`` holds no independent variable, and
+    ``RecurrenceEngine._depth`` needs no case for one."""
+    jc, system, _ = load_problem(name).build()
+    generator = universal_generator(jc, system)
+    for alpha in range(len(jc.dependents)):
+        for J in mi_up_to(jc.p, 4):
+            for key in generator.prolong(alpha, J).terms:
+                assert all(jc.decode(jc.ctx.var_by_id(vid))[0] != "x" for vid, _ in key), (name, alpha, J, key)
 
 
 @given(st.sampled_from(sorted(BUILDERS)), st.data())
