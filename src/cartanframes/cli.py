@@ -16,6 +16,7 @@ import hashlib
 import math
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .exact import ExactError, RatFn, format_ratfn
 from .frames import (
@@ -268,10 +269,13 @@ def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
         if not invariants:
             raise UsageError(f"--data {path}: {name}.invariants is empty")
         grids = [[_data_number(path, f"{name}.grids[{i}][{j}]", v, float) for j, v in enumerate(g)] for i, g in enumerate(grids)]
-        exprs = [_parse_option_expr(jc, "--data", text) for text in invariants]
-        funcs = [_to_callable(jc, params, e) for e in exprs]
-        derive = [_partial_operator(jc, params, i) for i in range(len(params))]
-        return SampledSubmanifold(grids, funcs, derive)
+        funcs = [_parse_option_expr(jc, "--data", text) for text in invariants]
+        xs = [jc.x_var(i) for i in range(len(params))]
+        mesh = [{x.vid: Fraction(v).limit_denominator(10**12) for x, v in zip(xs, pt)} for pt in product(*grids)]
+        levels = [funcs]
+        for _ in range(n):
+            levels.append([f.partial(x) for x in xs for f in levels[-1]])
+        return SampledSubmanifold(grids, [[[float(f.at(point)) for point in mesh] for f in level] for level in levels])
 
     S = build("S")
     Sbar = build("Sbar")
@@ -316,25 +320,6 @@ def _data_number(path: str, key: str, value, convert):
     if not -math.inf < number < math.inf:
         raise UsageError(f"--data {path}: {key} is not a finite number: {json.dumps(value)}")
     return number
-
-
-def _to_callable(jc: JetContext, params, expr: RatFn):
-    ids = [jc.x_var(i).vid for i in range(len(params))]
-
-    def evaluate(*point):
-        return float(expr.at({vid: Fraction(value).limit_denominator(10**12) for vid, value in zip(ids, point)}))
-
-    evaluate.expr = expr
-    return evaluate
-
-
-def _partial_operator(jc: JetContext, params, i: int):
-    var = jc.x_var(i)
-
-    def op(func):
-        return _to_callable(jc, params, func.expr.partial(var))
-
-    return op
 
 
 def _check_ranges(args) -> None:

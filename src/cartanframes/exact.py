@@ -120,7 +120,7 @@ class Context:
 
     def ratfn(self, const: int | Fraction = 0) -> "RatFn":
         """A constant in canonical form: integer numerator over the positive
-        denominator, exactly as ``normal_form`` would store it.
+        denominator, exactly as ``RatFn(num, den)`` would store it.
 
         There is one instance per value (an int and the equal Fraction share
         it); ``Poly`` and ``RatFn`` are never mutated, so sharing is safe.
@@ -712,11 +712,6 @@ def _primitive_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.leading_coeff() < 0:
         num, den = -num, -den
     return num, den
-
-
-def normal_form(f: RatFn) -> RatFn:
-    """Unique gcd-reduced sign-normalized representative (idempotent)."""
-    return RatFn(f.num, f.den)
 
 
 def format_ratfn(f: RatFn) -> str:

@@ -186,11 +186,11 @@ class FrameState:
 class RecurrenceEngine:
     """Produces recurrence relations and frames for one problem."""
 
-    def __init__(self, system: DeterminingSystem, cs: CrossSection, fc: Optional[FormContext] = None):
+    def __init__(self, system: DeterminingSystem, cs: CrossSection, fc: FormContext):
         self.system = system
         self.jc = system.jc
         self.cs = cs
-        self.fc = fc if fc is not None else FormContext(self.jc)
+        self.fc = fc
         self.generator = universal_generator(self.jc, self.system)
         self.mc = lift_system(system, self.iota)
         self._mu_cache: dict[JetKey, ExteriorForm] = {}
@@ -756,22 +756,24 @@ class SignatureReport:
 
 
 class SampledSubmanifold:
-    """A parameter mesh plus closed-form invariant functions.
+    """Signature function values on a parameter mesh.
 
-    ``grids`` is a list of sequences of floats (one per submanifold parameter);
-    ``invariants`` maps a parameter point to the value of each generating
-    invariant; ``derive`` gives the invariant total derivative operators as
-    function-to-function transformers.
+    ``grids`` is a list of sequences of floats, one per submanifold
+    parameter; the mesh points are ``itertools.product(*grids)``.
+    ``levels[k]`` lists, for each ordered word J with #J = k, the values of
+    D_J I at the mesh points in that order, one list per generating
+    invariant I; within a level the last derivative taken varies slowest.
     """
 
-    def __init__(self, grids, invariants, derive):
+    def __init__(self, grids, levels):
         self.grids = grids
-        self.invariants = list(invariants)
-        self.derive = list(derive)
+        self.levels = levels
 
 
 def signature_compare(S: SampledSubmanifold, Sbar: SampledSubmanifold, n: int, tol: float = 1e-9):
-    if len(S.derive) != len(Sbar.derive):
+    """Compare the order-``n`` signatures of two samples; each needs
+    ``levels[0..n]``."""
+    if len(S.grids) != len(Sbar.grids):
         return SignatureReport([], None, None, False, False, "parameter dimension mismatch")
     pA = _signature_profile(S, n, tol)
     pB = _signature_profile(Sbar, n, tol)
@@ -788,47 +790,30 @@ def signature_compare(S: SampledSubmanifold, Sbar: SampledSubmanifold, n: int, t
     return SignatureReport(pA["ranks"], s, pA["rank"], bool(gap <= overlap_tol), True)
 
 
-def _signature_functions(S: SampledSubmanifold, n: int):
-    """All D_J I_kappa with #J <= n; J ranges over ordered words."""
-    levels = [list(S.invariants)]
-    for _ in range(n):
-        prev = levels[-1]
-        nxt = []
-        for op in S.derive:
-            for f in prev:
-                nxt.append(op(f))
-        levels.append(nxt)
-    return levels
+def _signature_values(S: SampledSubmanifold, n: int) -> list:
+    """The value lists of every D_J I with #J <= n, level by level."""
+    return [vals for level in S.levels[: n + 1] for vals in level]
 
 
 def _signature_cloud(S: SampledSubmanifold, n: int):
     """One row of signature function values per mesh point."""
-    levels = _signature_functions(S, n)
-    funcs = [f for level in levels for f in level]
-    return [[float(f(*pt)) for f in funcs] for pt in product(*S.grids)]
+    return list(zip(*_signature_values(S, n)))
 
 
 def _signature_profile(S: SampledSubmanifold, n: int, tol: float):
-    levels = _signature_functions(S, n)
     p = len(S.grids)
-    interior = list(product(*[range(1, len(g) - 1) for g in S.grids]))
+    sizes = [len(g) for g in S.grids]
+    strides = [math.prod(sizes[d + 1 :]) for d in range(p)]
+    interior = list(product(*[range(1, size - 1) for size in sizes]))
     ranks = []
     regular = True
     for k in range(n + 1):
-        funcs = [f for level in levels[: k + 1] for f in level]
+        values = _signature_values(S, k)
         point_ranks = set()
         for idx in interior:
-            jac = [[0.0] * p for _ in funcs]
-            for direction in range(p):
-                lo = list(idx)
-                hi = list(idx)
-                lo[direction] -= 1
-                hi[direction] += 1
-                pt_lo = tuple(S.grids[d][lo[d]] for d in range(p))
-                pt_hi = tuple(S.grids[d][hi[d]] for d in range(p))
-                h = S.grids[direction][hi[direction]] - S.grids[direction][lo[direction]]
-                for r, f in enumerate(funcs):
-                    jac[r][direction] = (float(f(*pt_hi)) - float(f(*pt_lo))) / h
+            at = sum(i * stride for i, stride in zip(idx, strides))
+            steps = [(strides[d], S.grids[d][idx[d] + 1] - S.grids[d][idx[d] - 1]) for d in range(p)]
+            jac = [[(vals[at + stride] - vals[at - stride]) / h for stride, h in steps] for vals in values]
             sv = _singular_values(jac, p)
             cutoff = max(tol * (sv[0] if sv else 0.0), 1e-12)
             point_ranks.add(sum(1 for v in sv if v > cutoff))

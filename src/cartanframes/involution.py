@@ -487,15 +487,13 @@ def _term_quotient(a: STerm, b: STerm) -> Counts:
     return tuple(x - y for x, y in zip(b[0], a[0]))
 
 
-def groebner_reduce(e: SPoly, basis: Sequence[SPoly], leads: Optional[Sequence[tuple]] = None) -> SPoly:
-    """Unique normal form of e modulo the basis (full reduction): each lead
-    of the working terms is cancelled by the first basis element whose lead
-    divides it, or moved to the result.  ``leads``, when the caller keeps
-    them, are the ``(lead, terms)`` pairs of the nonzero basis elements."""
+def groebner_reduce(e: SPoly, leads: Sequence[tuple]) -> SPoly:
+    """Unique normal form of e modulo a basis (full reduction), given as the
+    ``(lead, terms)`` pairs of its nonzero elements: each lead of the working
+    terms is cancelled by the first element whose lead divides it, or moved
+    to the result."""
     if e.stilde:
         raise ExactError("Groebner machinery lives in the hatted module")
-    if leads is None:
-        leads = [(_leading_term(g), g.terms) for g in basis if not g.is_zero()]
     work = dict(e.terms)
     result = {}
     while work:
@@ -530,7 +528,7 @@ def groebner_module(gens: Sequence[SPoly]) -> list[SPoly]:
         lcm = (tuple(map(max, lt_g[0], lt_h[0])), lt_g[1])
         s = g.mul_monomial(_term_quotient(lt_g, lcm)).scale(Q(1) / g.terms[lt_g])
         s = s - h.mul_monomial(_term_quotient(lt_h, lcm)).scale(Q(1) / h.terms[lt_h])
-        nf = groebner_reduce(s, basis, leads)
+        nf = groebner_reduce(s, leads)
         if not nf.is_zero():
             pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(nf)
@@ -545,7 +543,7 @@ def groebner_module(gens: Sequence[SPoly]) -> list[SPoly]:
     reduced = []
     for i, k in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        nf = groebner_reduce(basis[k], [basis[m] for m in others], [leads[m] for m in others])
+        nf = groebner_reduce(basis[k], [leads[m] for m in others])
         reduced.append(nf.scale(Q(1) / nf.terms[leads[k][0]]))
     return reduced
 

@@ -87,10 +87,6 @@ class ProblemFile:
             out.append(element(terms))
         return out
 
-    @property
-    def relation_count(self) -> int:
-        return len(self.system.original) if self.system else 0
-
 
 # -- tokenizer -----------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .exact import ExactError, Poly, RatFn, _add_term
+from .exact import ExactError, ExpKey, Poly, RatFn, _add_term
 from .jets import (
     Coord,
     Counts,
@@ -31,17 +31,6 @@ JetKey = tuple[int, Counts]  # (field index, derivative multi-index over M)
 
 # A linear combination of field jets with RatFn coefficients.
 LinComb = dict[JetKey, RatFn]
-
-
-class NotFormallyIntegrable:
-    """Structured finding: two derivations of the same jet disagree."""
-
-    def __init__(self, jet: JetKey, residual: LinComb):
-        self.jet = jet
-        self.residual = residual
-
-    def __repr__(self):
-        return f"NotFormallyIntegrable(jet={self.jet})"
 
 
 class DeterminingSystem:
@@ -141,34 +130,6 @@ class DeterminingSystem:
                 _add_term(out, key, coeff)
         return out
 
-    # -- integrability --------------------------------------------------------
-
-    def check_integrability(self, order: int) -> list[NotFormallyIntegrable]:
-        """Cross-derive every solved jet of order <= order along all admissible
-        parents and compare; disagreements are reported, not raised."""
-        findings = []
-        for key in self.solved_jets(order):
-            f, B = key
-            lead = self.lead_for(key)
-            parents = [
-                i
-                for i in range(self.m)
-                if B[i] > 0 and self.lead_for((f, tuple(c - 1 if j == i else c for j, c in enumerate(B)))) is not None
-            ]
-            if len(parents) < 2:
-                continue
-            ref = self.relation(key)
-            for a in parents:
-                parent = (f, tuple(c - 1 if j == a else c for j, c in enumerate(B)))
-                alt = self.reduce(self.z_derivative(self.relation(parent), a))
-                diff = dict(alt)
-                for k, c in ref.items():
-                    _add_term(diff, k, -c)
-                if diff:
-                    finding = NotFormallyIntegrable(key, diff)
-                    findings.append(finding)
-        return findings
-
     def prolong(self, k: int) -> "DeterminingSystem":
         """Materialize all relations up to order k (idempotent; returns self)."""
         for key in self.solved_jets(k):
@@ -263,10 +224,6 @@ def identity_targets(jc: JetContext) -> tuple[list[RatFn], list[RatFn]]:
 # -- infinitesimal generators -------------------------------------------------------
 
 
-def _keep_every_term(key, R: Counts) -> bool:
-    return True
-
-
 class InfinitesimalGenerator:
     """A vector field xi^i d/dx^i + phi_alpha d/du^alpha with polynomial
     coefficients (which may involve symbolic coefficient fields)."""
@@ -285,15 +242,14 @@ class InfinitesimalGenerator:
                 qa = qa - self.xi[i] * jc.pvar(jc.u_var(alpha, mi_bump(mi_zero(jc.p), i)))
             self._characteristic.append(qa)
 
-    def prolong(self, alpha: int, J: Counts, survives=_keep_every_term) -> Poly:
+    def prolong(self, alpha: int, J: Counts, survives: Callable[[ExpKey, Counts], bool]) -> Poly:
         """Coefficient phi^J_alpha = D_J Q^alpha + sum_i xi^i u^alpha_{J,i},
         less the monomials that ``survives`` rejects.
 
         ``survives(key, R)`` tells whether the monomial ``key`` can still
         yield a kept term once the total derivatives left in the multi-index
         ``R`` are applied.  The test is made on Q^alpha and after each
-        derivative, so a rejected monomial is never differentiated; by
-        default every monomial is kept."""
+        derivative, so a rejected monomial is never differentiated."""
         jc = self.jc
         R = list(J)
 

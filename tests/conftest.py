@@ -18,6 +18,12 @@ def session(name, order=3, mc_order=2):
     return Session.load(PROBLEMS / f"{name}.prob", order, mc_order)
 
 
+def keep_every_term(key, R):
+    """The ``survives`` test of ``InfinitesimalGenerator.prolong`` that
+    prunes nothing: the coefficient is the whole of ``D_J Q``."""
+    return True
+
+
 def diffeo_system(jc, m):
     """The determining system without relations of m coefficient fields over
     the first m coordinates of ``jc``: every jet is a basis jet, so its

@@ -11,6 +11,12 @@ from cartanframes.exact import ExactError
 from cartanframes.involution import SPoly, _leading_term, _term_cmp_key, _term_divides, _term_quotient
 
 
+def leads_of(basis: Sequence[SPoly]) -> list:
+    """The ``(lead, terms)`` pairs of the nonzero elements of ``basis``, the
+    form in which ``involution.groebner_reduce`` takes a basis."""
+    return [(_leading_term(g), g.terms) for g in basis if not g.is_zero()]
+
+
 def oracle_groebner_reduce(e: SPoly, basis: Sequence[SPoly]) -> SPoly:
     """Normal form of e modulo the basis, one ``SPoly`` per step."""
     if e.stilde:

@@ -8,6 +8,7 @@ from cartanframes.exact import ExactError, Poly, Q, RatFn, _add_term
 from cartanframes.frames import FrameState, RecurrenceEngine, _frame_value_tpoly, determining_annihilator
 from cartanframes.involution import TPoly
 from cartanframes.jets import mi_all, mi_up_to, mi_zero
+from conftest import keep_every_term
 
 
 def invariantize_parametrized(engine: RecurrenceEngine, terms: dict):
@@ -60,7 +61,7 @@ def pstar_basis(engine: RecurrenceEngine, n: int):
     for k in range(1, n + 1):
         for J in mi_all(jc.p, k):
             for alpha in range(jc.q):
-                phi = engine.generator.prolong(alpha, J)
+                phi = engine.generator.prolong(alpha, J, keep_every_term)
                 poly = _field_linear_to_tpoly(engine, phi)
                 if poly is not None and not poly.is_zero():
                     out.append(poly)

@@ -1,16 +1,15 @@
 """The numpy signature comparator that the pure-Python one in
-``cartanframes.frames`` replaced, kept as its oracle: ranks from
-``np.linalg.svd``, the gap and the scale from array reductions."""
-
-import itertools as it
+``cartanframes.frames`` replaced, kept as its oracle: central differences
+from each value list reshaped to the mesh, ranks from ``np.linalg.svd``, the
+gap and the scale from array reductions."""
 
 import numpy as np
 
-from cartanframes.frames import SampledSubmanifold, SignatureReport, _signature_functions
+from cartanframes.frames import SampledSubmanifold, SignatureReport
 
 
 def signature_compare(S: SampledSubmanifold, Sbar: SampledSubmanifold, n: int, tol: float = 1e-9):
-    if len(S.derive) != len(Sbar.derive):
+    if len(S.grids) != len(Sbar.grids):
         return SignatureReport([], None, None, False, False, "parameter dimension mismatch")
     pA = signature_profile(S, n, tol)
     pB = signature_profile(Sbar, n, tol)
@@ -27,34 +26,41 @@ def signature_compare(S: SampledSubmanifold, Sbar: SampledSubmanifold, n: int, t
     return SignatureReport(pA["ranks"], s, pA["rank"], bool(gap <= overlap_tol), True)
 
 
+def signature_values(S: SampledSubmanifold, n: int) -> np.ndarray:
+    """One row per D_J I with #J <= n, one column per mesh point."""
+    return np.array([vals for level in S.levels[: n + 1] for vals in level])
+
+
 def signature_cloud(S: SampledSubmanifold, n: int):
-    levels = _signature_functions(S, n)
-    funcs = [f for level in levels for f in level]
-    points = list(it.product(*[list(g) for g in S.grids]))
-    return np.array([[float(f(*pt)) for f in funcs] for pt in points])
+    return signature_values(S, n).T
+
+
+def central_differences(S: SampledSubmanifold, vals) -> np.ndarray:
+    """The central difference quotients of one value list at the interior
+    mesh points: shape ``(p, n_1 - 2, ..., n_p - 2)``, direction first."""
+    sizes = [len(g) for g in S.grids]
+    mesh = np.reshape(vals, sizes)
+    out = []
+    for d, grid in enumerate(S.grids):
+
+        def shifted(offset):
+            return mesh[tuple(slice(1 + offset * (e == d), size - 1 + offset * (e == d)) for e, size in enumerate(sizes))]
+
+        g = np.asarray(grid)
+        shape = [1] * len(sizes)
+        shape[d] = -1
+        out.append((shifted(1) - shifted(-1)) / (g[2:] - g[:-2]).reshape(shape))
+    return np.array(out)
 
 
 def signature_profile(S: SampledSubmanifold, n: int, tol: float):
-    levels = _signature_functions(S, n)
     p = len(S.grids)
-    interior = list(it.product(*[range(1, len(g) - 1) for g in S.grids]))
     ranks = []
     regular = True
     for k in range(n + 1):
-        funcs = [f for level in levels[: k + 1] for f in level]
+        rows = np.array([central_differences(S, vals).reshape(p, -1) for vals in signature_values(S, k)])
         point_ranks = set()
-        for idx in interior:
-            jac = np.zeros((len(funcs), p))
-            for direction in range(p):
-                lo = list(idx)
-                hi = list(idx)
-                lo[direction] -= 1
-                hi[direction] += 1
-                pt_lo = tuple(S.grids[d][lo[d]] for d in range(p))
-                pt_hi = tuple(S.grids[d][hi[d]] for d in range(p))
-                h = S.grids[direction][hi[direction]] - S.grids[direction][lo[direction]]
-                for r, f in enumerate(funcs):
-                    jac[r, direction] = (float(f(*pt_hi)) - float(f(*pt_lo))) / h
+        for jac in np.transpose(rows, (2, 0, 1)):  # one (functions x directions) matrix per interior point
             sv = np.linalg.svd(jac, compute_uv=False)
             cutoff = max(tol * (sv[0] if len(sv) else 0.0), 1e-12)
             point_ranks.add(int((sv > cutoff).sum()))

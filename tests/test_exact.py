@@ -19,7 +19,6 @@ from cartanframes.exact import (
     RatFn,
     format_poly,
     format_ratfn,
-    normal_form,
     ordered_row_echelon,
     poly_gcd,
     rank,
@@ -73,7 +72,8 @@ def test_zero_denominator_rejected(ctx):
 def test_normal_form_idempotent(ctx):
     x, u = _vars(ctx, "x", "u")
     f = RatFn((x + u) * (x - u) * 6, (x + u) * x * 4)
-    assert normal_form(normal_form(f)) == normal_form(f)
+    nf = RatFn(f.num, f.den)
+    assert RatFn(nf.num, nf.den) == nf == f
 
 
 def test_multivariate_gcd(ctx):
@@ -252,8 +252,8 @@ def test_normal_form_idempotent_randomized(sn, sd):
     if den.is_zero():
         den = x * x + ctx.poly(1)
     f = RatFn(num * den, den * den)  # force a common factor
-    nf = normal_form(f)
-    assert normal_form(nf) == nf
+    nf = RatFn(f.num, f.den)
+    assert RatFn(nf.num, nf.den) == nf
     assert nf == RatFn(num, den)
 
 
@@ -262,7 +262,7 @@ def test_constant_ratfn_is_canonical(ctx):
     quotient = ctx.ratfn(1) / ctx.ratfn(2)
     assert half == quotient and hash(half) == hash(quotient)
     assert (half.num, half.den) == (ctx.poly(1), ctx.poly(2))
-    assert normal_form(half) == half
+    assert RatFn(half.num, half.den) == half
     assert ctx.ratfn(Fraction(-3, 4)) == Fraction(-3, 4)
     assert ctx.ratfn(0) == RatFn(ctx.poly(0), ctx.poly(5))
 
@@ -303,9 +303,9 @@ def test_ratfn_equality_is_zero_difference(sa, sb, sc, rebuild):
     if a == b:
         assert hash(a) == hash(b)
     for f in (a, b, a - b, a * b):
-        nf = normal_form(f)
+        nf = RatFn(f.num, f.den)
         assert nf == f and (nf.num.terms, nf.den.terms) == (f.num.terms, f.den.terms)
-        assert normal_form(nf) == nf
+        assert RatFn(nf.num, nf.den) == nf
 
 
 def test_ratfn_difference_with_a_long_gcd_remainder_sequence():
@@ -550,7 +550,7 @@ def test_constant_ratfn_equals_its_quotient(q, k):
     b = ctx.ratfn(q.numerator * k) / ctx.ratfn(q.denominator * k)
     assert a == b and hash(a) == hash(b)
     assert (a - b).is_zero()
-    assert normal_form(a) == a and a.constant_value() == q
+    assert RatFn(a.num, a.den) == a and a.constant_value() == q
 
 
 # -- the canonical scalar -----------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanframes.exact import Context, ExactError, RatFn
+from cartanframes.exterior import FormContext
 from cartanframes.frames import CrossSection, RecurrenceEngine
 from conftest import session
 
@@ -99,7 +100,7 @@ JC = POINT.jc
 CS = CrossSection(JC)
 CS.normalize_coord(("x", 0), Fraction(1, 2))
 CS.normalize_coord(("x", 1), -3)
-ENGINE = RecurrenceEngine(POINT.system, CS)
+ENGINE = RecurrenceEngine(POINT.system, CS, FormContext(JC))
 POOL = [JC.x_var(0), JC.x_var(1), JC.x_var(2), JC.u_var(0, (0, 0, 0))]
 RENAME_TO = JC.u_var(0, (1, 0, 0))
 IOTA = {

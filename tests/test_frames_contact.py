@@ -15,7 +15,7 @@ from cartanframes.involution import (
     indices,
     t_homogeneous_component,
 )
-from conftest import load_problem, session
+from conftest import keep_every_term, load_problem, session
 from isotropy import _field_linear_to_tpoly, frame_annihilator_full, invariantize_parametrized, pstar_basis, restrict_targets
 from symbol_echelon import t_span_equal
 
@@ -165,7 +165,7 @@ def test_U_equals_J(contact_frame):
     preimage = prolonged_symbol_preimage(igens, bm, 3)
     for k in (2, 3):
         sbasis = [(J, 0) for J in mi_all(3, k)]
-        imgs = [_field_linear_to_tpoly(fr.engine, fr.engine.generator.prolong(0, J)) for J, _ in sbasis]
+        imgs = [_field_linear_to_tpoly(fr.engine, fr.engine.generator.prolong(0, J, keep_every_term)) for J, _ in sbasis]
         l_filtered = t_degree_filter(L, 4, k)
         cols = sorted({key for t in imgs + l_filtered for key in t.terms})
         cand = [[t.terms.get(c, Fraction(0)) for c in cols] for t in imgs]

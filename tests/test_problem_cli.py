@@ -35,16 +35,16 @@ def test_roundtrip(name):
 
 
 def test_point_relation_count():
-    assert load_problem("point").relation_count == 7
+    assert len(load_problem("point").system.original) == 7
 
 
 def test_contact_relation_count():
-    assert load_problem("contact").relation_count == 6
+    assert len(load_problem("contact").system.original) == 6
 
 
 def test_empty_det_block():
     pf = load_problem("empty")
-    assert pf.relation_count == 0
+    assert not pf.system.original
 
 
 def test_unknown_symbol_diagnostic():
@@ -92,6 +92,7 @@ coeffs xi xi;
 
 
 def test_cross_section_prefix_violation_reported():
+    from cartanframes.exterior import FormContext
     from cartanframes.frames import CrossSectionError
     from cartanframes.frames import RecurrenceEngine
 
@@ -104,7 +105,7 @@ xsec { u_x2 = 0; x = 0; }
 """
     pf = parse_problem(text)
     jc, system, cs = pf.build()
-    engine = RecurrenceEngine(system, cs)
+    engine = RecurrenceEngine(system, cs, FormContext(jc))
     with pytest.raises(CrossSectionError):
         engine.normalize(2)
 
@@ -546,6 +547,25 @@ def test_cli_signature_invariant_value_diagnostics(tmp_path, capsys, invariant, 
     code, out = _run_cli("run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(data))
     assert code == 1 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "params, grids, invariant",
+    [
+        # no interior point, so no central difference reaches s = 0
+        (["s"], [[0, 1]], "1/s"),
+        # the ranks differ from Sbar's, so no cloud reaches (0, 0)
+        (["s", "t"], [[0, 0.5, 1], [0, 0.5, 1]], "1/(s + t)"),
+    ],
+)
+def test_cli_signature_undefined_at_a_mesh_point(tmp_path, capsys, params, grids, invariant):
+    """Every mesh value is computed, whether or not the verdict reads it."""
+    data = tmp_path / "data.json"
+    side = lambda inv: {"grids": grids, "invariants": [inv]}
+    data.write_text(json.dumps({"parameters": params, "S": side(invariant), "Sbar": side("3")}))
+    code, out = _run_cli("run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(data))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: zero denominator\n"
 
 
 @pytest.mark.parametrize(

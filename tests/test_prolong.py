@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartanframes.exterior import FormContext
 from cartanframes.frames import CrossSection, RecurrenceEngine
 from cartanframes.jets import JetContext, coord_u, coord_x, mi_bump, mi_up_to, mi_zero
 from cartanframes.pseudogroup import DeterminingSystem, InfinitesimalGenerator, universal_generator
-from conftest import PROBLEMS, load_problem
+from conftest import PROBLEMS, keep_every_term, load_problem
 
 
 def iterated_derivative(jc, f, J):
@@ -46,11 +47,11 @@ def test_iterated_derivative():
 
 
 @pytest.mark.parametrize("name", ["point", "contact"])
-def test_prolong_keeps_every_term_by_default(name):
+def test_prolong_keeps_every_term_that_survives(name):
     jc, system, _ = load_problem(name).build()
     generator = universal_generator(jc, system)
     for J in mi_up_to(jc.p, 3):
-        assert generator.prolong(0, J) == unpruned_prolong(generator, 0, J)
+        assert generator.prolong(0, J, keep_every_term) == unpruned_prolong(generator, 0, J)
 
 
 # -- pruned against unpruned, through the lift ------------------------------------
@@ -105,7 +106,7 @@ def test_unpruned_prolongation_holds_no_independent_variable(name):
     generator = universal_generator(jc, system)
     for alpha in range(len(jc.dependents)):
         for J in mi_up_to(jc.p, 4):
-            for key in generator.prolong(alpha, J).terms:
+            for key in generator.prolong(alpha, J, keep_every_term).terms:
                 assert all(jc.decode(jc.ctx.var_by_id(vid))[0] != "x" for vid, _ in key), (name, alpha, J, key)
 
 
@@ -120,7 +121,7 @@ def test_pruned_prolongation_lifts_like_the_unpruned(name, data):
     for coord, value in zip(prob.coords, values):
         if value is not None:
             cs.normalize_coord(coord, value)
-    engine = RecurrenceEngine(prob.system, cs)
+    engine = RecurrenceEngine(prob.system, cs, FormContext(prob.jc))
     engine.generator = prob.generator
     for J in prob.js:
         subject = coord_u(0, J)
@@ -224,7 +225,7 @@ def test_unpruned_prolongation_matches_sympy_on_a_toy_generator():
         sphi = sj.from_poly(phi[0])
         for order in range(4):
             J = (order,)
-            assert sj.from_poly(generator.prolong(0, J)) == sj.prolong(sxi, sphi, J)
+            assert sj.from_poly(generator.prolong(0, J, keep_every_term)) == sj.prolong(sxi, sphi, J)
 
 
 def test_unpruned_prolongation_matches_sympy_on_point():
@@ -235,4 +236,4 @@ def test_unpruned_prolongation_matches_sympy_on_point():
     sxi = [sj.from_poly(c) for c in generator.xi]
     sphi = sj.from_poly(generator.phi[0])
     for J in mi_up_to(jc.p, 3):
-        assert sj.from_poly(generator.prolong(0, J)) == sj.prolong(sxi, sphi, J)
+        assert sj.from_poly(generator.prolong(0, J, keep_every_term)) == sj.prolong(sxi, sphi, J)

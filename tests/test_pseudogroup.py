@@ -14,7 +14,8 @@ from cartanframes.pseudogroup import (
     lift_system,
     prolonged_action,
 )
-from conftest import load_problem
+from conftest import keep_every_term, load_problem
+from integrability import check_integrability
 from lifting import relation_one_step, unlift
 from substitution import subs_ratfn
 
@@ -72,7 +73,7 @@ def test_projection_compatibility(contact):
 
 def test_formal_integrability_clean(contact):
     pf, jc, system = contact
-    assert system.check_integrability(3) == []
+    assert check_integrability(system, 3) == []
 
 
 def test_lift_contact_printed_relations(contact):
@@ -219,18 +220,18 @@ def test_prolong_generator_first_and_second_order():
     xi_x = jc.pvar(jc.field_var(fxi, (1, 0)))
     xi_u = jc.pvar(jc.field_var(fxi, (0, 1)))
     phi1 = eta_x + (eta_u - xi_x) * ux - xi_u * ux * ux
-    assert v.prolong(0, (1,)) == phi1
+    assert v.prolong(0, (1,), keep_every_term) == phi1
     # classical recursion phi^(2) = D_x phi^(1) - u_xx D_x xi
     dphi1 = jc.total_derivative(phi1, 0)
     dxi = jc.total_derivative(xi, 0)
-    assert v.prolong(0, (2,)) == dphi1 - uxx * dxi
+    assert v.prolong(0, (2,), keep_every_term) == dphi1 - uxx * dxi
 
 
 def test_prolong_generator_scaling():
     jc = JetContext(["x"], ["u"])
     ux = jc.pvar(jc.u_var(0, (1,)))
     v = InfinitesimalGenerator(jc, [jc.pvar(jc.x_var(0))], [jc.poly(0)])
-    assert v.prolong(0, (1,)) == -ux
+    assert v.prolong(0, (1,), keep_every_term) == -ux
 
 
 def _flow_prolong(jc, chi_val, psi_val, J, eps):
@@ -263,4 +264,4 @@ def test_prolong_generator_vs_flow_oracle(order):
     for chi_val, psi_val, (xi, eta) in flows:
         lhs = _flow_prolong(jc, chi_val, psi_val, J, eps)
         v = InfinitesimalGenerator(jc, [xi], [eta])
-        assert lhs == RatFn(v.prolong(0, J), jc.poly(1))
+        assert lhs == RatFn(v.prolong(0, J, keep_every_term), jc.poly(1))

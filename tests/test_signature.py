@@ -1,6 +1,9 @@
 """Numeric signature comparison, and the pure-Python comparator against
 the numpy one it replaced (``signature_numpy``)."""
 
+import contextlib
+import io
+import itertools
 import os
 import pathlib
 import subprocess
@@ -13,21 +16,30 @@ from hypothesis import strategies as st
 
 import cartanframes
 import signature_numpy
+from cartanframes import cli
+from cartanframes.exact import RatFn
 from cartanframes.frames import SampledSubmanifold, _singular_values, signature_compare
 from conftest import PROBLEMS
 
 
-def _const(c):
-    f = lambda *pt: c
-    f.expr = None
-    return f
+DEPTH = 2  # the highest order any test compares at
+
+
+def _manifold(grids, invariant, derivatives):
+    """The values of ``invariant``, an expression in s (and t), and of its
+    derivatives up to ``DEPTH`` on the mesh of ``grids``; ``derivatives``
+    maps each expression to its partials, which default to 0.0."""
+    names = ["s", "t"][: len(grids)]
+    mesh = [dict(zip(names, pt), max=max) for pt in itertools.product(*grids)]
+    zero = ("0.0",) * len(grids)
+    levels = [[invariant]]
+    for _ in range(DEPTH):
+        levels.append([derivatives.get(e, zero)[d] for d in range(len(grids)) for e in levels[-1]])
+    return SampledSubmanifold(grids, [[[float(eval(e, env)) for env in mesh] for e in level] for level in levels])
 
 
 def _const_manifold(c, grids):
-    def op(func):
-        return _const(0.0)
-
-    return SampledSubmanifold(grids, [_const(c)], [op, op])
+    return _manifold(grids, repr(c), {})
 
 
 GRID5 = [np.linspace(0.0, 1.0, 5).tolist(), np.linspace(0.0, 1.0, 5).tolist()]
@@ -44,29 +56,24 @@ def test_constant_invariants_equal():
     assert report.regular
 
 
+def _eval_manifold(npts, invariant, derivatives, lo=0.0, hi=1.0):
+    """Invariant ``invariant`` in s, t on an npts x npts mesh over [lo, hi]^2."""
+    return _manifold([np.linspace(lo, hi, npts).tolist(), np.linspace(lo, hi, npts).tolist()], invariant, derivatives)
+
+
+LINEAR = {"s + t": ("1.0", "1.0")}
+QUADRATIC = {"s*s + t": ("2*s", "1.0"), "2*s": ("2.0", "0.0")}
+PRODUCT = {"s*t": ("t", "s"), "t": ("0.0", "1.0"), "s": ("1.0", "0.0")}
+KINK = {"max(s, 0.0) * s": ("2*max(s, 0.0)", "0.0")}
+
+
 def test_reflexivity_under_resampling():
-    def sample(npts):
-        grids = [np.linspace(0.0, 1.0, npts).tolist(), np.linspace(0.0, 1.0, npts).tolist()]
-
-        def make(expr):
-            f = lambda s, t: eval(expr, {"s": s, "t": t})
-            f.expr = expr
-            return f
-
-        def d_s(func):
-            return {"s + t": make("1.0"), "1.0": make("0.0"), "0.0": make("0.0")}[func.expr]
-
-        def d_t(func):
-            return {"s + t": make("1.0"), "1.0": make("0.0"), "0.0": make("0.0")}[func.expr]
-
-        return SampledSubmanifold(grids, [make("s + t")], [d_s, d_t])
-
-    S = sample(6)
-    Sbar = sample(11)
+    S = _eval_manifold(6, "s + t", LINEAR)
+    Sbar = _eval_manifold(11, "s + t", LINEAR)
     report = signature_compare(S, Sbar, 2)
     assert report.overlap
     # verdict stable as the grid refines
-    report2 = signature_compare(S, sample(21), 2)
+    report2 = signature_compare(S, _eval_manifold(21, "s + t", LINEAR), 2)
     assert report2.overlap == report.overlap
 
 
@@ -95,49 +102,12 @@ def test_two_form_constant_invariant_cases():
 
 
 def test_not_fully_regular_report():
-    """A rank jump across the sample produces a not-fully-regular report."""
-    grids = [np.linspace(-1.0, 1.0, 9).tolist(), np.linspace(-1.0, 1.0, 9).tolist()]
-
-    def make(expr):
-        f = lambda s, t: eval(expr, {"s": s, "t": t, "max": max})
-        f.expr = expr
-        return f
-
-    # piecewise flat/linear invariant: differential rank differs by region
-    inv = make("max(s, 0.0) * s")
-
-    def d_s(func):
-        return make("2*max(s, 0.0)")
-
-    def d_t(func):
-        return make("0.0")
-
-    S = SampledSubmanifold(grids, [inv], [d_s, d_t])
+    """A rank jump across the sample produces a not-fully-regular report:
+    the piecewise flat/linear invariant's differential rank differs by region."""
+    S = _eval_manifold(9, "max(s, 0.0) * s", KINK, -1.0, 1.0)
     report = signature_compare(S, S, 1)
     assert not report.regular
     assert report.detail == "not fully regular"
-
-
-def _eval_manifold(npts, invariant, derivatives, lo=0.0, hi=1.0):
-    """Invariant ``invariant`` in s, t on an npts x npts mesh; ``derivatives``
-    maps each expression to its (d/ds, d/dt) pair."""
-    grids = [np.linspace(lo, hi, npts).tolist(), np.linspace(lo, hi, npts).tolist()]
-
-    def make(expr):
-        f = lambda s, t: eval(expr, {"s": s, "t": t, "max": max})
-        f.expr = expr
-        return f
-
-    def op(k):
-        return lambda func: make(derivatives.get(func.expr, ("0.0", "0.0"))[k])
-
-    return SampledSubmanifold(grids, [make(invariant)], [op(0), op(1)])
-
-
-LINEAR = {"s + t": ("1.0", "1.0")}
-QUADRATIC = {"s*s + t": ("2*s", "1.0"), "2*s": ("2.0", "0.0")}
-PRODUCT = {"s*t": ("t", "s"), "t": ("0.0", "1.0"), "s": ("1.0", "0.0")}
-KINK = {"max(s, 0.0) * s": ("2*max(s, 0.0)", "0.0")}
 
 
 @pytest.mark.parametrize(
@@ -151,12 +121,31 @@ KINK = {"max(s, 0.0) * s": ("2*max(s, 0.0)", "0.0")}
         (_eval_manifold(5, "s*t", PRODUCT, 1.0, 2.0), _eval_manifold(6, "s*t", PRODUCT, 1.5, 2.5), 2),
         (_eval_manifold(5, "s + t", LINEAR), _const_manifold(1.0, GRID5), 1),
         (_eval_manifold(9, "max(s, 0.0) * s", KINK, -1.0, 1.0), _const_manifold(1.0, GRID5), 1),
-        (_eval_manifold(4, "s + t", LINEAR), SampledSubmanifold(GRID3, [_const(1.0)], [lambda f: _const(0.0)]), 1),
+        (_eval_manifold(4, "s + t", LINEAR), _const_manifold(1.0, GRID3[:1]), 1),
     ],
 )
 def test_comparator_matches_the_numpy_reference(S, Sbar, n):
     got, want = signature_compare(S, Sbar, n), signature_numpy.signature_compare(S, Sbar, n)
     assert (repr(got), got.detail) == (repr(want), want.detail)
+
+
+def test_each_signature_function_is_evaluated_once_per_mesh_point(monkeypatch):
+    """On ``signature_quadratic_equal.json`` (order 2, two parameters) each
+    side has 1 + 2 + 4 functions: 7 x (25 + 9) = 238 values, from 2 x 6
+    partial derivatives."""
+    calls = {"at": 0, "partial": 0}
+    for name in calls:
+        method = getattr(RatFn, name)
+
+        def counted(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(RatFn, name, counted)
+    data = PROBLEMS / "signature_quadratic_equal.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", str(PROBLEMS / "contact.prob"), "signature-compare", "--data", str(data)]) == 0
+    assert calls == {"at": 238, "partial": 12}
 
 
 ENTRY = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
