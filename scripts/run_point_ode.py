@@ -10,7 +10,6 @@ the singular branch with its SL(3)-type structure equations.
 import pathlib
 
 from cartanframes.exact import format_ratfn
-from cartanframes.frames import commutator_invariants
 from cartanframes.session import Session
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -49,13 +48,13 @@ def main():
     b1 = load("point_branch1", order=5, mc_order=2)
     for i, nm in [(0, "dw^x"), (1, "dw^u"), (2, "dw^p")]:
         print(f"{nm} = {b1.coframe.get(b1.fc.omega(i)).pretty()}")
-    Y, partial = commutator_invariants(b1.engine, b1.coframe)
+    Y, partial = b1.commutators
     print("commutator invariants Y[k;i,j]:")
     names = b1.jc.independents
     for (k, i, j), value in sorted(Y.items()):
         if not value.is_zero():
             print(f"  Y[{names[k]};{names[i]},{names[j]}] = {format_ratfn(value)}")
-    failures, audited, _ = b1.engine.audit_d_squared(b1.state, b1.coframe, 6)
+    failures, audited, _ = b1.audit
     print(f"d^2 audit: {'pass' if not failures else 'FAIL'} on {len(audited)} equations")
 
     section("singular branch: structure equations of the symmetry group")
@@ -66,7 +65,7 @@ def main():
     for key in b4.state.residual_keys(3):
         sym = fc.mc(key[0], key[1])
         print(f"d{sym.name} = {b4.coframe.get(sym).pretty()}")
-    failures, audited, _ = b4.engine.audit_d_squared(b4.state, b4.coframe, 6)
+    failures, audited, _ = b4.audit
     print(f"d^2 audit: {'pass' if not failures else 'FAIL'} on {len(audited)} equations")
 
 

@@ -23,7 +23,6 @@ from .frames import (
     FrameState,
     SampledSubmanifold,
     classify_ode,
-    commutator_invariants,
     isotropy_annihilator,
     oracle_classify_ode,
     signature_compare,
@@ -128,10 +127,10 @@ def cmd_coframe(pf: ProblemFile, args, report: Report) -> int:
     order = args.order if args.order is not None else 3
     mc_order = args.mc_order if args.mc_order is not None else 2
     session = Session(pf, order, mc_order)
-    jc, engine, state, coframe = session.jc, session.engine, session.state, session.coframe
-    for sym, rhs in coframe.items():
+    jc = session.jc
+    for sym, rhs in session.coframe.items():
         report.add(f"coframe.d({sym.name})", rhs.pretty())
-    Y, partial = commutator_invariants(engine, coframe)
+    Y, partial = session.commutators
     if partial:
         report.add("coframe.commutators", "partial frame: defined modulo " + ", ".join(sorted({s.name for s in partial})))
     else:
@@ -141,7 +140,7 @@ def cmd_coframe(pf: ProblemFile, args, report: Report) -> int:
                     f"coframe.Y[{jc.independents[k]};{jc.independents[i]},{jc.independents[j]}]",
                     format_ratfn(value),
                 )
-    failures, audited, skipped = engine.audit_d_squared(state, coframe, order + 1)
+    failures, audited, skipped = session.audit
     report.add("coframe.d2_audit", "pass" if not failures else "FAIL")
     report.add("coframe.d2_audited", ", ".join(s.name for s in audited) or "none")
     if skipped:
@@ -250,6 +249,8 @@ def cmd_signature(pf: ProblemFile, args, report: Report) -> int:
     data = _load_signature_data(path)
     params = data["parameters"]
     n = _data_number(path, "order", data.get("order", 1), int)
+    if n < 0:
+        raise UsageError(f"--data {path}: order must be at least 0, got {n}")
     tol = args.tol
     if tol is None:
         tol = _data_number(path, "tol", data.get("tol", 1e-9), float)
@@ -310,15 +311,21 @@ def _load_signature_data(path: str) -> dict:
 
 
 def _data_number(path: str, key: str, value, convert):
-    """``convert(value)`` for a finite number read from the ``--data`` file."""
+    """``convert(value)`` for a finite JSON number read from the ``--data``
+    file: a string or a boolean is not a number, and ``int`` takes only a
+    whole one."""
     import json
 
     try:
+        if isinstance(value, (str, bool)):
+            raise TypeError
         number = convert(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: int() of an infinity
         raise UsageError(f"--data {path}: {key} is not a number: {json.dumps(value)}") from None
     if not -math.inf < number < math.inf:
         raise UsageError(f"--data {path}: {key} is not a finite number: {json.dumps(value)}")
+    if number != value:
+        raise UsageError(f"--data {path}: {key} is not a whole number: {json.dumps(value)}")
     return number
 
 

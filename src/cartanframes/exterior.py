@@ -280,42 +280,6 @@ class EquationSet:
     def items(self):
         return [(self.fc.by_id(sid), rhs) for sid, rhs in self.equations.items()]
 
-    def d_squared_audit(self, coeff_rule: Callable[[RatFn], ExteriorForm]):
-        """The d^2 = 0 audit: apply d to every right side, using the equations
-        for the symbols and ``coeff_rule`` for the coefficients.
-
-        An equation is skipped when its right side mentions a symbol without
-        an equation (a residual isotropy form, or one beyond the truncation) or
-        when ``coeff_rule`` raises ``MissingRule``.  Returns (failures,
-        audited, skipped): failures are (symbol, nonzero 2-form) pairs, the
-        other two lists of symbols."""
-        failures, audited, skipped = [], [], []
-        for sid, rhs in self.equations.items():
-            sym = self.fc.by_id(sid)
-            if not self.closed(rhs):
-                skipped.append(sym)
-                continue
-            try:
-                dd = exterior_derivative(rhs, lambda s: self.equations.get(s.sid), coeff_rule)
-            except MissingRule:
-                skipped.append(sym)
-                continue
-            if dd.is_zero():
-                audited.append(sym)
-            else:
-                failures.append((sym, dd))
-        return failures, audited, skipped
-
-    def closed(self, rhs: ExteriorForm) -> bool:
-        """True if every symbol of ``rhs`` has an equation, so d(rhs) can be
-        expanded."""
-        return rhs.symbols() <= self.equations.keys()
-
-
-class MissingRule(Exception):
-    """Raised by a coefficient rule that cannot differentiate a coefficient;
-    the d^2 audit then skips the equation."""
-
 
 # -- diffeomorphism structure equations -----------------------------------------
 

@@ -1,7 +1,8 @@
 """The moving-frame engine: lifted-invariant recurrence relations,
 cross-section normalization (full and partial frames), normalized
-Maurer-Cartan forms, commutator invariants, isotropy annihilator extraction,
-ODE branch classification and the numeric signature comparator.
+Maurer-Cartan forms, the d^2 = 0 audit, commutator invariants, isotropy
+annihilator extraction, ODE branch classification and the numeric signature
+comparator.
 
 The engine never needs coordinate formulas for the invariants: a recurrence
 relation is assembled from the symbolic prolonged generator, evaluated on the
@@ -23,7 +24,7 @@ from .exterior import (
     EquationSet,
     ExteriorForm,
     FormContext,
-    MissingRule,
+    exterior_derivative,
     mc_expansion,
     substitute,
 )
@@ -483,36 +484,41 @@ class RecurrenceEngine:
         return {vid: self.reduced_recurrence(coord, state) for vid, coord in coords.items() if vid in vids}
 
     def audit_d_squared(self, state: FrameState, eqs: EquationSet, inv_order: int):
-        """d^2 = 0 integrability audit on a normalized equation set.
-
-        Coefficients are differentiated through the reduced recurrence
-        relations of their invariants, built only for the equations the audit
-        expands; an equation whose coefficients reach an invariant without a
-        rule (beyond the working order) is reported as skipped rather than
-        failed.  Returns (failures, audited, skipped)."""
-        vids: set[int] = set()
-        for rhs in eqs.equations.values():
-            if eqs.closed(rhs):
-                for c in rhs.terms.values():
-                    vids |= c.variables()
-        diff_map = self.invariant_differential(state, inv_order, vids)
+        """The d^2 = 0 audit of a normalized equation set: d of each closed
+        right side (every symbol it mentions has an equation), through the
+        equations for the symbols and the reduced recurrence relations of the
+        coefficient invariants, built for the closed equations only.  An
+        equation that is not closed (a residual isotropy form, or one beyond
+        the truncation) is skipped.  Returns (failures, audited, skipped):
+        failures are (symbol, nonzero 2-form) pairs, the others symbols."""
         fc = self.fc
+        closed = {sid for sid, rhs in eqs.equations.items() if rhs.symbols() <= eqs.equations.keys()}
+        vids = set().union(*(c.variables() for sid in closed for c in eqs.equations[sid].terms.values()))
+        diff_map = self.invariant_differential(state, inv_order, vids)
 
         def coeff_rule(c: RatFn) -> ExteriorForm:
             out = fc.form()
             for vid in sorted(c.variables()):
                 var = self.jc.ctx.var_by_id(vid)
-                if self.jc.decode(var)[0] != "inv":
-                    raise ExactError(f"cannot differentiate coefficient {var.name}")
                 rule = diff_map.get(vid)
                 if rule is None:
-                    raise MissingRule(var.name)
+                    raise ExactError(f"cannot differentiate coefficient {var.name}")
                 partial = c.partial(var)
                 if not partial.is_zero():
                     out = out + rule.scale(partial)
             return out
 
-        return eqs.d_squared_audit(coeff_rule)
+        failures, audited, skipped = [], [], []
+        for sym, rhs in eqs.items():
+            if sym.sid not in closed:
+                skipped.append(sym)
+                continue
+            dd = exterior_derivative(rhs, eqs.get, coeff_rule)
+            if dd.is_zero():
+                audited.append(sym)
+            else:
+                failures.append((sym, dd))
+        return failures, audited, skipped
 
 
 def normalized_structure_equations(engine: RecurrenceEngine, state: FrameState, eqs: EquationSet) -> EquationSet:

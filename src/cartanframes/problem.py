@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain, count
 from typing import Optional
 
 from .exact import ExactError, RatFn, _add_term, _quotient, format_ratfn, format_sum, format_term
@@ -648,7 +649,8 @@ def print_problem(pf: ProblemFile) -> str:
             lines.append(f"  {jc.coord_name(coord)} = {value};")
         for pat in cs.patterns:
             sub = []
-            wild = iter("jklmnr")
+            # j k l m n r, then r1 r2 ... for a family with more wildcard slots
+            wild = chain("jklmnr", (f"r{i}" for i in count(1)))
             for name, f in zip(pf.independent, pat.fixed):
                 if f is None:
                     sub.append(f"{name}^{next(wild)}")

@@ -1,5 +1,5 @@
 """One problem through the method's chain: determining system -> recurrence
-engine -> phantom normalization -> normalized coframe.
+engine -> phantom normalization -> normalized coframe -> d^2 = 0 audit.
 
 The engine lifts the determining system with its own cross-section
 evaluation (``RecurrenceEngine.mc``).  The coframe pulls the structure
@@ -8,14 +8,17 @@ substitution per equation, and keeps those the frame leaves free.  The lift
 as a relabelling (``Session.mc``) feeds only the restricted structure
 equations of the ``structure`` report (``Session.restricted``) and the
 ``lift`` report.  The Cartan test reads only ``engine``: the isotropy
-annihilator of order n normalizes its own frame to order n - 1.
+annihilator of order n normalizes its own frame to order n - 1.  The audit
+differentiates the coframe's coefficients through the recurrences of the
+invariants of order <= ``order + 1``, which holds every one of them.
 
 Each stage is built on first use and kept, so a caller pays only for the
 stages it reads::
 
     s = Session.load("problems/point_branch1.prob", order=5, mc_order=2)
     s.state.residual_keys(2)          # normalizes; builds no coframe
-    failures, audited, skipped = s.engine.audit_d_squared(s.state, s.coframe, 6)
+    Y, partial = s.commutators        # commutator invariants of the coframe
+    failures, audited, skipped = s.audit
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .exterior import EquationSet, FormContext, diffeo_structure_equations, restrict_to_pseudogroup
-from .frames import CrossSection, FrameState, RecurrenceEngine, normalized_structure_equations
+from .frames import CrossSection, FrameState, RecurrenceEngine, commutator_invariants, normalized_structure_equations
 from .problem import ProblemFile, parse_problem
 from .pseudogroup import MCRelationSet, lift_system
 
@@ -84,3 +87,14 @@ class Session:
         self.state.require_complete()
         eqs = diffeo_structure_equations(self.fc, self.system, self.mc_order + 1)
         return normalized_structure_equations(self.engine, self.state, eqs)
+
+    @cached_property
+    def commutators(self):
+        """``commutator_invariants`` of the coframe: (Y, partial)."""
+        return commutator_invariants(self.engine, self.coframe)
+
+    @cached_property
+    def audit(self):
+        """``RecurrenceEngine.audit_d_squared`` of the coframe at order
+        ``order + 1``: (failures, audited, skipped)."""
+        return self.engine.audit_d_squared(self.state, self.coframe, self.order + 1)

@@ -300,9 +300,7 @@ def test_criterion_7_syzygies(point_branch1, point_universal):
         ok &= rec_p4.coefficient((fr.fc.omega(0).sid,)) == qp4x
         ok &= rec_p2x2.coefficient((fr.fc.omega(2).sid,)) == qp3x2
     # branch-I d^2 audit validates the same identities inside the coframe set
-    failures, audited, skipped = point_branch1.engine.audit_d_squared(
-        point_branch1.state, point_branch1.coframe, 6
-    )
+    failures, audited, skipped = point_branch1.audit
     ok &= failures == [] and len(audited) == 3
     _record(7, ok, "Q_P3X2 = D_P Q_P2X2 and Q_P4X = D_X Q_P4 from the engine's recurrences")
 
@@ -332,13 +330,8 @@ def test_criterion_8_classifier():
 def test_criterion_9_property_suites(point_universal, point_branch1, point_branch4, contact_frame, pj_frame):
     ok = True
     # d^2 = 0 audits on every produced equation set
-    for fr, order, expected in (
-        (point_universal, 6, 8),
-        (point_branch1, 6, 3),
-        (point_branch4, 6, 8),
-        (pj_frame, 3, 3),
-    ):
-        failures, audited, skipped = fr.engine.audit_d_squared(fr.state, fr.coframe, order)
+    for fr, expected in ((point_universal, 8), (point_branch1, 3), (point_branch4, 8), (pj_frame, 3)):
+        failures, audited, skipped = fr.audit
         ok &= failures == [] and len(audited) == expected
     # total-derivative commutativity
     jc = JetContext(["x", "u"], ["q"])

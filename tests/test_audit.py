@@ -3,13 +3,14 @@ differentiates; the eager rule building it replaced is kept here as an
 oracle."""
 
 import functools
+from itertools import product
 
 import pytest
 
 from cartanframes.exact import ExactError, RatFn
 from cartanframes.exterior import exterior_derivative
 from cartanframes.jets import mi_up_to
-from conftest import session
+from conftest import PROBLEMS, session
 
 
 def eligible_coords(engine, inv_order):
@@ -78,14 +79,14 @@ def _names(syms):
     return [s.name for s in syms]
 
 
-# (fixture or (problem, working order, mc order), audit order, fails): the
-# fixture runs at order 5 like the deep branch-I benchmark, the others at the
-# CLI's coframe defaults (--order 3 --mc-order 2, audit at order 4).
+# (fixture or (problem, working order, mc order), fails): the fixture runs at
+# order 5 like the deep branch-I benchmark, the others at the CLI's coframe
+# defaults (--order 3 --mc-order 2); each audits at its order + 1.
 AUDIT_CASES = [
-    pytest.param("point_branch1", 6, False, id="branch1-order6"),
-    pytest.param(("point_order0", 3, 2), 4, False, id="point_order0-default"),
-    pytest.param(("point", 3, 2), 4, True, id="point-default-truncation"),
-    pytest.param(("contact_asprinted", 3, 2), 4, True, id="contact_asprinted-true-negative"),
+    pytest.param("point_branch1", False, id="branch1-order6"),
+    pytest.param(("point_order0", 3, 2), False, id="point_order0-default"),
+    pytest.param(("point", 3, 2), True, id="point-default-truncation"),
+    pytest.param(("contact_asprinted", 3, 2), True, id="contact_asprinted-true-negative"),
 ]
 
 
@@ -98,9 +99,10 @@ def _frame(request, spec):
     return request.getfixturevalue(spec) if isinstance(spec, str) else _cli_default_frame(spec)
 
 
-@pytest.mark.parametrize("spec, audit_order, fails", AUDIT_CASES)
-def test_lazy_audit_matches_eager_oracle(request, monkeypatch, spec, audit_order, fails):
+@pytest.mark.parametrize("spec, fails", AUDIT_CASES)
+def test_lazy_audit_matches_eager_oracle(request, monkeypatch, spec, fails):
     fr = _frame(request, spec)
+    audit_order = fr.order + 1
     built = []
     lazy_rules = fr.engine.invariant_differential
 
@@ -110,7 +112,10 @@ def test_lazy_audit_matches_eager_oracle(request, monkeypatch, spec, audit_order
         return rules
 
     monkeypatch.setattr(fr.engine, "invariant_differential", spy)
-    failures, audited, skipped = fr.engine.audit_d_squared(fr.state, fr.coframe, audit_order)
+    # the session fixtures are shared: an audit cached by another test built
+    # its rules before the spy
+    monkeypatch.delitem(fr.__dict__, "audit", raising=False)
+    failures, audited, skipped = fr.audit
     monkeypatch.undo()
     e_failures, e_audited, e_skipped = eager_audit(fr.engine, fr.state, fr.coframe, audit_order)
     assert _names(audited) == _names(e_audited)
@@ -123,16 +128,17 @@ def test_lazy_audit_matches_eager_oracle(request, monkeypatch, spec, audit_order
     # the rules built are those of the invariants in the expanded equations
     used = set()
     for rhs in fr.coframe.equations.values():
-        if fr.coframe.closed(rhs):
+        if rhs.symbols() <= fr.coframe.equations.keys():
             for c in rhs.terms.values():
                 used |= c.num.variables() | c.den.variables()
     eager = eager_invariant_differential(fr.engine, fr.state, audit_order)
     assert set(built) == used & set(eager) and len(built) < len(eager)
 
 
-@pytest.mark.parametrize("spec, audit_order, fails", AUDIT_CASES)
-def test_invariant_differential_builds_exactly_the_requested_rules(request, spec, audit_order, fails):
+@pytest.mark.parametrize("spec, fails", AUDIT_CASES)
+def test_invariant_differential_builds_exactly_the_requested_rules(request, spec, fails):
     fr = _frame(request, spec)
+    audit_order = fr.order + 1
     engine, jc = fr.engine, fr.jc
     eager = eager_invariant_differential(engine, fr.state, audit_order)
     eligible = [jc.invariant_var(c).vid for c in eligible_coords(engine, audit_order)]
@@ -144,3 +150,31 @@ def test_invariant_differential_builds_exactly_the_requested_rules(request, spec
     assert set(rules) == set(eligible[::2])
     assert all(rules[vid] == eager[vid] for vid in rules)
     assert engine.invariant_differential(fr.state, audit_order, set()) == {}
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in PROBLEMS.glob("*.prob")))
+def test_every_closed_coefficient_has_a_rule(name):
+    """Every invariant in a coefficient of a closed coframe equation has order
+    <= n + 1, so the audit at order n + 1 has a rule for each of them: the
+    horizontal parts have order 1, and the frame values come from
+    recurrences of subjects of order <= n."""
+    for order, mc_order in product(range(7), range(4)):
+        fr = session(name, order, mc_order)
+        coframe = fr.coframe
+        vids = set()
+        for rhs in coframe.equations.values():
+            if rhs.symbols() <= coframe.equations.keys():
+                for c in rhs.terms.values():
+                    vids |= c.variables()
+        ruled = {fr.jc.invariant_var(c).vid for c in fr.engine.invariant_coords(order + 1)}
+        assert vids <= ruled, (order, mc_order, sorted(fr.jc.ctx.var_by_id(v).name for v in vids - ruled))
+        failures, audited, skipped = fr.audit
+        assert len(failures) + len(audited) + len(skipped) == len(coframe.equations)
+
+
+def test_a_coefficient_without_a_rule_is_an_error(point_branch1):
+    """Audited below the order of its coefficients, the coframe reaches an
+    invariant without a rule: an error naming it, not a skipped equation."""
+    fr = point_branch1
+    with pytest.raises(ExactError, match="cannot differentiate coefficient Q_P5X"):
+        fr.engine.audit_d_squared(fr.state, fr.coframe, fr.order)

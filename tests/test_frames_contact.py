@@ -224,17 +224,13 @@ def test_pj_partial_frame(pj_frame):
 
 
 def test_pj_commutators_partial_flag(pj_frame):
-    from cartanframes.frames import commutator_invariants
-
-    Y, residual = commutator_invariants(pj_frame.engine, pj_frame.coframe)
+    Y, residual = pj_frame.commutators
     assert residual, "commutators only defined modulo the isotropy direction"
     assert {s.name for s in residual} == {"mu_X"}
 
 
 def test_pj_d_squared(pj_frame):
-    failures, audited, skipped = pj_frame.engine.audit_d_squared(
-        pj_frame.state, pj_frame.coframe, 3
-    )
+    failures, audited, skipped = pj_frame.audit
     assert failures == []
     assert len(audited) == 3
 

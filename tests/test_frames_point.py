@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from cartanframes.exterior import ExteriorForm
-from cartanframes.frames import commutator_invariants
 from cartanframes.jets import mi_order
 from conftest import PROBLEMS, session
 
@@ -284,8 +283,7 @@ def test_universal_structure_equations(point_universal):
 
 
 def test_universal_d_squared_audit(point_universal):
-    fr = point_universal
-    failures, audited, skipped = fr.engine.audit_d_squared(fr.state, fr.coframe, 6)
+    failures, audited, skipped = point_universal.audit
     assert failures == []
     assert len(audited) == 8
     assert skipped == []
@@ -360,7 +358,7 @@ def test_branch1_commutators(point_branch1):
     """Y^u_xp: the w^x ^ w^p coefficient of d(w^u) equals 1 (so the commutator
     invariant is -1 under the sign convention d(w) = -sum Y w ^ w)."""
     fr = point_branch1
-    Y, residual = commutator_invariants(fr.engine, fr.coframe)
+    Y, residual = fr.commutators
     assert residual == []
     coeff = fr.coframe.get(fr.fc.omega(1)).coefficient(
         (fr.fc.omega(0).sid, fr.fc.omega(2).sid)
@@ -370,9 +368,7 @@ def test_branch1_commutators(point_branch1):
 
 
 def test_branch1_d_squared_audit(point_branch1):
-    failures, audited, skipped = point_branch1.engine.audit_d_squared(
-        point_branch1.state, point_branch1.coframe, 6
-    )
+    failures, audited, skipped = point_branch1.audit
     assert failures == []
     assert len(audited) == 3
 
@@ -414,9 +410,7 @@ def test_branch4_derived_vanishing(point_branch4):
 
 
 def test_branch4_d_squared_audit(point_branch4):
-    failures, audited, skipped = point_branch4.engine.audit_d_squared(
-        point_branch4.state, point_branch4.coframe, 6
-    )
+    failures, audited, skipped = point_branch4.audit
     assert failures == []
     assert len(audited) == 8
 

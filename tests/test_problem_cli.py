@@ -34,6 +34,18 @@ def test_roundtrip(name):
     assert print_problem(again) == printed
 
 
+def test_roundtrip_family_with_seven_wildcard_slots():
+    """A family with more wildcard slots than ``j k l m n r`` prints further
+    names, and the print parses back to the same problem."""
+    pf = parse_problem(
+        "base a b c d e f g u;\nsplit independent a b c d e f g dependent u;\n"
+        "xsec { u_{a^i b^i c^i d^i e^i f^i g^i} = 0; }\n"
+    )
+    printed = print_problem(pf)
+    assert "  u_{a^j b^k c^l d^m e^n f^r g^r1} = 0;\n" in printed
+    assert print_problem(parse_problem(printed)) == printed
+
+
 def test_point_relation_count():
     assert len(load_problem("point").system.original) == 7
 
@@ -499,6 +511,9 @@ SIDE = '{"grids": [[0, 0.5, 1]], "invariants": ["s"]}'
             "Sbar.grids[0][1] is not a finite number: -Infinity",
         ),
         ('{"parameters": ["s"], "order": Infinity, "S": %s, "Sbar": %s}' % (SIDE, SIDE), "order is not a number: Infinity"),
+        # the order of a signature is a whole number at least 0
+        ('{"parameters": ["s"], "order": -1, "S": %s, "Sbar": %s}' % (SIDE, SIDE), "order must be at least 0, got -1"),
+        ('{"parameters": ["s"], "order": 1.5, "S": %s, "Sbar": %s}' % (SIDE, SIDE), "order is not a whole number: 1.5"),
     ],
 )
 def test_cli_signature_data_diagnostics(tmp_path, capsys, content, message):
@@ -523,6 +538,11 @@ def test_cli_signature_data_diagnostics(tmp_path, capsys, content, message):
         ('{"parameters": ["s"], "order": "two", "S": %s, "Sbar": %s}' % (SIDE, SIDE), 'order is not a number: "two"'),
         ('{"parameters": ["s"], "tol": "tight", "S": %s, "Sbar": %s}' % (SIDE, SIDE), 'tol is not a number: "tight"'),
         ('{"parameters": ["s"], "tol": [1], "S": %s, "Sbar": %s}' % (SIDE, SIDE), "tol is not a number: [1]"),
+        # a JSON boolean or a string of digits is not a number
+        ('{"parameters": ["s"], "order": true, "S": %s, "Sbar": %s}' % (SIDE, SIDE), "order is not a number: true"),
+        ('{"parameters": ["s"], "order": "2", "S": %s, "Sbar": %s}' % (SIDE, SIDE), 'order is not a number: "2"'),
+        ('{"parameters": ["s"], "tol": false, "S": %s, "Sbar": %s}' % (SIDE, SIDE), "tol is not a number: false"),
+        ('{"parameters": ["s"], "S": {"grids": [[0, true]], "invariants": ["s"]}, "Sbar": %s}' % SIDE, "S.grids[0][1] is not a number: true"),
     ],
 )
 def test_cli_signature_data_values_must_be_numbers(tmp_path, capsys, content, message):
